@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _accel
 from .errors import (
+    InvalidSpec,
     NaNInput,
     NoConvergence,
     NotPositiveDefinite,
@@ -76,7 +77,7 @@ def cholesky(m, damp: float = 0.0) -> np.ndarray:
     a = _as_square(m, "cholesky input")
     _require_symmetric(a, "cholesky input")
     if damp < 0.0:
-        raise ShapeMismatch(f"damp must be >= 0, got {damp}")
+        raise InvalidSpec(f"damp must be >= 0, got {damp}")
     a = 0.5 * (a + a.T)
     if damp > 0.0 and a.shape[0] > 0:
         ridge = damp * float(np.mean(np.diag(a)))

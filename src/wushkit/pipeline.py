@@ -11,12 +11,20 @@ because either normalization is common in practice).  Blockwise losses use
 the same normalization, and because quantization errors of different blocks
 are nearly uncorrelated their sum tracks the layer loss; the relative gap
 between the two is reported, not asserted.
+
+Losses are evaluated in factored form from one pass over the blocks.  With
+``w~_i = t_weight_i w_i``, ``x~_i = t_act_i x_i`` and ``q_i = q(x~_i)``, block
+``i``'s error ``w_hat_i^T q_i - w~_i^T x~_i`` is ``a_i^T b_i`` with
+``a_i = [w_hat_i - w~_i ; w~_i]`` and ``b_i = [q_i ; q_i - x~_i]``, a sum of
+error-sized terms.  The layer error is one product over the ``2 d_in``
+stacked rows, the only ``d_out x d_batch`` array made; block losses are
+``<a_i a_i^T, b_i b_i^T>_F`` from ``2d x 2d`` Gram matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import NamedTuple, Optional
 
@@ -127,6 +135,39 @@ def _act_rng(plan: LayerPlan) -> Optional[np.random.Generator]:
     return np.random.default_rng(np.random.SeedSequence(entropy=(plan.seed, 0xAC)))
 
 
+def _factors(plan: LayerPlan, x_arr: np.ndarray, rng, w_arr=None):
+    """Stacked factors ``a`` (``n_blocks x 2d x d_out``, None without
+    weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
+    quantizing activations block by block from the one stream ``rng``."""
+    if x_arr.shape[0] != plan.d_in:
+        raise ShapeMismatch(
+            f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
+        )
+    d = plan.d
+    b = np.empty((plan.n_blocks, 2 * d, x_arr.shape[1]))
+    a = None if w_arr is None else np.empty((plan.n_blocks, 2 * d, plan.d_out))
+    for i, bt in enumerate(plan.blocks):
+        sl = slice(i * d, (i + 1) * d)
+        x_t = bt.t_act @ x_arr[sl]
+        b[i, :d] = quantize_matrix(x_t, plan.scheme, rng)
+        np.subtract(b[i, :d], x_t, out=b[i, d:])
+        if a is not None:
+            w_t = bt.t_weight @ w_arr[sl]
+            np.subtract(plan.w_hat_blocks[i], w_t, out=a[i, :d])
+            a[i, d:] = w_t
+    return a, b
+
+
+def _rel_gap(total: float, approx: float) -> float:
+    return abs(total - approx) / total if total > 0.0 else 0.0
+
+
+def _sq_error(a: np.ndarray, b: np.ndarray) -> float:
+    """``|sum_i a_i^T b_i|_F^2`` through one product over the stacked rows."""
+    err = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    return float(np.vdot(err, err))
+
+
 def forward_quantized(
     plan: LayerPlan, x, rng: Optional[np.random.Generator] = None
 ) -> np.ndarray:
@@ -135,19 +176,11 @@ def forward_quantized(
     For stochastic schemes the activation-rounding stream defaults to one
     derived from the plan seed; pass ``rng`` to control it.
     """
-    x_arr = _as_2d(x, "activations")
-    if x_arr.shape[0] != plan.d_in:
-        raise ShapeMismatch(
-            f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
-        )
     if rng is None:
         rng = _act_rng(plan)
-    out = np.zeros((plan.d_out, x_arr.shape[1]))
-    for i, bt in enumerate(plan.blocks):
-        sl = slice(i * plan.d, (i + 1) * plan.d)
-        q_act = quantize_matrix(bt.t_act @ x_arr[sl, :], plan.scheme, rng)
-        out += plan.w_hat_blocks[i].T @ q_act
-    return out
+    _, b = _factors(plan, _as_2d(x, "activations"), rng)
+    q = b[:, : plan.d].reshape(plan.d_in, b.shape[-1])
+    return np.concatenate(plan.w_hat_blocks).T @ q
 
 
 def layer_loss(
@@ -159,38 +192,29 @@ def layer_loss(
     seed: int = 0,
     plan: Optional[LayerPlan] = None,
 ) -> LossReport:
-    """Build a plan (unless given) and measure its quantization loss."""
+    """Build a plan (unless given) and measure its quantization loss.
+
+    A given ``plan`` overrides ``kind``, ``scheme``, ``damp`` and ``seed``.
+    """
     w_arr = _as_2d(w, "weights")
     x_arr = _as_2d(x, "activations")
     if plan is None:
         plan = build_layer_plan(w_arr, x_arr, kind, scheme, damp, seed)
-    d_out, d_batch = plan.d_out, x_arr.shape[1]
-    norm = d_out * d_batch
-    rng = _act_rng(plan)
-    reference = w_arr.T @ x_arr
-    approx = np.zeros_like(reference)
-    block_losses = []
-    for i, bt in enumerate(plan.blocks):
-        sl = slice(i * plan.d, (i + 1) * plan.d)
-        q_act = quantize_matrix(bt.t_act @ x_arr[sl, :], plan.scheme, rng)
-        contrib = plan.w_hat_blocks[i].T @ q_act
-        approx += contrib
-        block_ref = w_arr[sl, :].T @ x_arr[sl, :]
-        block_losses.append(float(((contrib - block_ref) ** 2).sum()) / norm)
-    raw = float(((approx - reference) ** 2).sum())
+    elif w_arr.shape != (plan.d_in, plan.d_out) or x_arr.shape[1] < 1:
+        raise ShapeMismatch(
+            f"plan wants weights {(plan.d_in, plan.d_out)} and at least one sample, "
+            f"got weights {w_arr.shape} and activations {x_arr.shape}"
+        )
+    norm = plan.d_out * x_arr.shape[1]
+    a, b = _factors(plan, x_arr, _act_rng(plan), w_arr)
+    raw = _sq_error(a, b)
     loss = raw / norm
-    block_sum = sum(block_losses)
-    gap = abs(loss - block_sum) / loss if loss > 0.0 else 0.0
+    gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
+    blocks = tuple(float(v) / norm for v in (gram_a * gram_b).sum(axis=(1, 2)))
     return LossReport(
-        kind=plan.kind,
-        scheme_name=str(plan.scheme),
-        seed=plan.seed,
-        d=plan.d,
-        damp=plan.damp,
-        layer_loss=loss,
-        layer_loss_raw=raw,
-        block_losses=tuple(block_losses),
-        additivity_gap=gap,
+        plan.kind, str(plan.scheme), plan.seed, plan.d, plan.damp,
+        layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
+        additivity_gap=_rel_gap(loss, sum(blocks)),
     )
 
 
@@ -208,24 +232,12 @@ def first_order_gap(
     w_arr = _as_2d(w, "weights")
     x_arr = _as_2d(x, "activations")
     plan = build_layer_plan(w_arr, x_arr, kind, scheme, damp, seed)
-    rng = _act_rng(plan)
     norm = plan.d_out * x_arr.shape[1]
-    full = np.zeros((plan.d_out, x_arr.shape[1]))
-    first = np.zeros_like(full)
-    for i, bt in enumerate(plan.blocks):
-        sl = slice(i * plan.d, (i + 1) * plan.d)
-        t_act_x = bt.t_act @ x_arr[sl, :]
-        t_w_w = bt.t_weight @ w_arr[sl, :]
-        q_act = quantize_matrix(t_act_x, plan.scheme, rng)
-        e_w = plan.w_hat_blocks[i] - t_w_w
-        e_x = q_act - t_act_x
-        block_ref = w_arr[sl, :].T @ x_arr[sl, :]
-        full += plan.w_hat_blocks[i].T @ q_act - block_ref
-        first += e_w.T @ t_act_x + t_w_w.T @ e_x
-    loss = float((full ** 2).sum()) / norm
-    fo = float((first ** 2).sum()) / norm
-    gap = abs(loss - fo) / loss if loss > 0.0 else 0.0
-    return loss, fo, gap
+    a, b = _factors(plan, x_arr, _act_rng(plan), w_arr)
+    loss = _sq_error(a, b) / norm
+    b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
+    fo = _sq_error(a, b) / norm
+    return loss, fo, _rel_gap(loss, fo)
 
 
 class SweepRow(NamedTuple):
@@ -278,17 +290,9 @@ def sweep_cell(
     )
     loss = float(np.mean([r.layer_loss for r in reports]))
     raw = float(np.mean([r.layer_loss_raw for r in reports]))
-    gap = abs(loss - sum(blocks)) / loss if loss > 0.0 else 0.0
-    return LossReport(
-        kind=base.kind,
-        scheme_name=base.scheme_name,
-        seed=seed,
-        d=base.d,
-        damp=base.damp,
-        layer_loss=loss,
-        layer_loss_raw=raw,
-        block_losses=blocks,
-        additivity_gap=gap,
+    return replace(
+        base, seed=seed, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
+        additivity_gap=_rel_gap(loss, sum(blocks)),
     )
 
 
@@ -298,9 +302,11 @@ def sweep(cfg, timings: bool = False) -> list:
     ``cfg`` supplies ``transforms``, ``resolved_schemes()``, ``seeds``,
     ``damp``, ``r_repeats``, ``layer_label`` and ``load_data(seed)``; rows
     come out in deterministic grid order (transforms outermost, then
-    schemes, then seeds, then block index), one row per block.  Cell wall
-    time lands in ``elapsed_ms`` only when ``timings`` is set, so default
-    output is byte-stable across runs.
+    schemes, then seeds, then block index), one row per block, although the
+    cells run seed by seed so that ``load_data`` is called once per seed and
+    one data set is held at a time.  Cell wall time lands in ``elapsed_ms``
+    only when ``timings`` is set, so default output is byte-stable across
+    runs.
     """
     transforms = list(cfg.transforms)
     if not transforms:
@@ -311,25 +317,18 @@ def sweep(cfg, timings: bool = False) -> list:
     seeds = list(cfg.seeds)
     if not seeds:
         raise InvalidSpec("seed list is empty")
-    rows = []
-    for kind in transforms:
-        for name, scheme in schemes:
-            for seed in seeds:
-                w, x = cfg.load_data(seed)
+    cells = {}
+    for seed in seeds:
+        w, x = cfg.load_data(seed)
+        for kind in transforms:
+            for j, (name, scheme) in enumerate(schemes):
                 t0 = perf_counter()
-                report = sweep_cell(w, x, kind, scheme, cfg.damp, seed, cfg.r_repeats)
+                rep = sweep_cell(w, x, kind, scheme, cfg.damp, seed, cfg.r_repeats)
                 elapsed = (perf_counter() - t0) * 1e3 if timings else None
-                for b, bl in enumerate(report.block_losses):
-                    rows.append(
-                        SweepRow(
-                            layer=cfg.layer_label,
-                            transform=kind,
-                            format=name,
-                            seed=seed,
-                            block=b,
-                            loss=bl,
-                            layer_loss=report.layer_loss,
-                            elapsed_ms=elapsed,
-                        )
-                    )
-    return rows
+                cells[kind, j, seed] = [
+                    SweepRow(cfg.layer_label, kind, name, seed, b, bl, rep.layer_loss, elapsed)
+                    for b, bl in enumerate(rep.block_losses)
+                ]
+        del w, x
+    grid = ((k, j, s) for k in transforms for j in range(len(schemes)) for s in seeds)
+    return [row for cell in grid for row in cells[cell]]

@@ -3,6 +3,7 @@ import pytest
 
 import wushkit
 from wushkit import (
+    InvalidSpec,
     NaNInput,
     NotPositiveDefinite,
     NotPowerOfTwo,
@@ -55,6 +56,11 @@ def test_cholesky_damping_rescues_singular():
     l = cholesky(m, damp=0.01)
     # damping adds damp * mean(diag) to the diagonal
     np.testing.assert_allclose(l @ l.T, m + 0.01 * np.eye(4), atol=1e-12)
+
+
+def test_cholesky_rejects_negative_damp():
+    with pytest.raises(InvalidSpec, match="damp"):
+        cholesky(np.eye(2), damp=-0.01)
 
 
 def test_cholesky_rejects_asymmetric_and_nan():

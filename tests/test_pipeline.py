@@ -13,9 +13,10 @@ from wushkit.quantformats import (
     ROUND_STOCHASTIC,
     int4_scheme,
     mxfp4_scheme,
+    nvfp4_scheme,
     quantize_matrix,
 )
-from wushkit.transforms import build_layer_plan
+from wushkit.transforms import TRANSFORM_KINDS, build_layer_plan
 
 # fine enough to be lossless on float64 data at these magnitudes
 INT26 = QuantScheme(IntSpec(26), E8M0, 32, name="int26")
@@ -143,6 +144,7 @@ def test_forward_quantized_zero_activations():
     plan = build_layer_plan(w, x, "wus", int4_scheme())
     out = pl.forward_quantized(plan, np.zeros((64, 5)))
     np.testing.assert_array_equal(out, np.zeros((8, 5)))
+    assert pl.forward_quantized(plan, np.zeros((64, 0))).shape == (8, 0)
 
 
 def test_forward_quantized_single_block_composition():
@@ -203,6 +205,63 @@ def test_layer_loss_accepts_prebuilt_plan():
     b = pl.layer_loss(w, x, "wus", int4_scheme(), seed=2)
     assert a.kind == "wus"
     assert a.layer_loss == b.layer_loss
+
+
+def test_layer_loss_rejects_inputs_that_do_not_fit_the_plan():
+    w, x = pl.gen_synthetic(_spec())
+    plan = build_layer_plan(w, x, "wush", int4_scheme())
+    w_wide, _ = pl.gen_synthetic(_spec(d_out=12))
+    with pytest.raises(ShapeMismatch):
+        pl.layer_loss(w_wide, x, "wush", int4_scheme(), plan=plan)
+    # 96 rows split into whole blocks too, so only the plan can catch it
+    w_tall, x_tall = pl.gen_synthetic(_spec(d_in=96))
+    with pytest.raises(ShapeMismatch):
+        pl.layer_loss(w_tall, x_tall, "wush", int4_scheme(), plan=plan)
+    with pytest.raises(ShapeMismatch):
+        pl.layer_loss(w, x[:, :0], "wush", int4_scheme(), plan=plan)
+
+
+SCHEMES = {
+    "int4": int4_scheme(),
+    "mxfp4": mxfp4_scheme(),
+    "nvfp4": nvfp4_scheme(),
+    "int4-stochastic": int4_scheme(rounding=ROUND_STOCHASTIC),
+}
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_losses_match_dense_reference(kind, scheme_name):
+    scheme = SCHEMES[scheme_name]
+    w, x = pl.gen_synthetic(_spec(outlier_count=2, outlier_magnitude=10.0))
+    plan = build_layer_plan(w, x, kind, scheme, seed=4)
+    # direct evaluation: sum_i w_hat_i^T q_i - W^T X, same rounding stream
+    rng = pl._act_rng(plan)
+    approx = np.zeros((8, 256))
+    first = np.zeros((8, 256))
+    block_raw = []
+    for i, bt in enumerate(plan.blocks):
+        sl = slice(i * plan.d, (i + 1) * plan.d)
+        x_t = bt.t_act @ x[sl]
+        w_t = bt.t_weight @ w[sl]
+        q = quantize_matrix(x_t, scheme, rng)
+        contrib = plan.w_hat_blocks[i].T @ q
+        approx += contrib
+        first += (plan.w_hat_blocks[i] - w_t).T @ x_t + w_t.T @ (q - x_t)
+        block_raw.append(np.sum((contrib - w[sl].T @ x[sl]) ** 2))
+    raw = np.sum((approx - w.T @ x) ** 2)
+    norm = 8 * 256
+
+    rep = pl.layer_loss(w, x, kind, scheme, seed=4)
+    assert rep.layer_loss_raw == pytest.approx(raw, rel=1e-10)
+    assert rep.layer_loss == pytest.approx(raw / norm, rel=1e-10)
+    np.testing.assert_allclose(rep.block_losses, np.array(block_raw) / norm, rtol=1e-10)
+    loss, fo, _ = pl.first_order_gap(w, x, kind, scheme, seed=4)
+    assert loss == pytest.approx(raw / norm, rel=1e-10)
+    assert fo == pytest.approx(np.sum(first ** 2) / norm, rel=1e-10)
+    np.testing.assert_allclose(
+        pl.forward_quantized(plan, x), approx, rtol=1e-10, atol=1e-10 * np.abs(approx).max()
+    )
 
 
 def test_layer_loss_stochastic_reproducible():
@@ -285,6 +344,20 @@ def test_sweep_grid_order_and_rows():
     assert rows[0].layer_loss == rows[1].layer_loss
     # deterministic: a second run reproduces the rows exactly
     assert pl.sweep(_StubConfig()) == rows
+
+
+def test_sweep_loads_each_seed_once():
+    class Counting(_StubConfig):
+        def __init__(self):
+            self.loaded = []
+
+        def load_data(self, seed):
+            self.loaded.append(seed)
+            return super().load_data(seed)
+
+    cfg = Counting()
+    assert pl.sweep(cfg) == pl.sweep(_StubConfig())
+    assert cfg.loaded == [0, 1]  # not once per (transform, seed) cell
 
 
 def test_sweep_timings_toggle():
