@@ -67,6 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_cell_args(p, with_rounding=True):
     p.add_argument("--kind", required=True, choices=TRANSFORM_KINDS)
     p.add_argument("--scheme", required=True, choices=PRESET_NAMES)
@@ -125,7 +132,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="E max X^2 inequality table")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-log2-d", type=int, default=10)
+    p.add_argument("--max-log2-d", type=_nonnegative_int, default=10)
 
     p = sub.add_parser("grids", help="print quantizer grids")
     p.add_argument("--format", required=True,

@@ -1,13 +1,13 @@
 """Dense helpers for small symmetric problems (block sizes up to a few hundred).
 
-Everything here works on plain float64 ndarrays.  The eigensolver is a
-cyclic Jacobi iteration rather than a call into LAPACK's ``syevd`` because
-the transform construction needs two behaviours LAPACK does not promise:
-already-diagonal input must pass through untouched (so isotropic moments
-reduce to the exact Hadamard transform), and eigenvector signs and the
-ordering of repeated eigenvalues must be deterministic across platforms.
-Cholesky and matrix inversion have no such requirements and simply wrap
-``numpy.linalg``.
+Everything here works on plain float64 ndarrays and wraps ``numpy.linalg``
+(LAPACK).  The eigensolver adds the rules the transform construction relies
+on and LAPACK does not promise, as explicit code around ``eigh``:
+already-diagonal input passes through untouched (so isotropic moments reduce
+to the exact Hadamard transform), eigenvalues are sorted descending with a
+stable sort, and each eigenvector's sign is fixed by its largest entry.
+Results are deterministic for a given LAPACK build; across builds and
+platforms they may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _accel
 from .errors import (
     InvalidSpec,
     NaNInput,
@@ -28,14 +27,6 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-
-#: Jacobi sweep budget; 64 cyclic sweeps is far beyond what any symmetric
-#: matrix of the sizes we handle needs (quadratic convergence kicks in at ~3).
-MAX_JACOBI_SWEEPS = 64
-
-#: Converged when the off-diagonal Frobenius norm drops below this multiple
-#: of the diagonal's Frobenius norm.
-JACOBI_REL_TOL = 1e-12
 
 #: Condition-number estimate (1-norm) above which ``invert`` refuses.
 MAX_CONDITION = 1e12
@@ -90,143 +81,34 @@ def cholesky(m, damp: float = 0.0) -> np.ndarray:
         ) from None
 
 
-def _jacobi_core(a, v, max_sweeps, rel_tol):
-    """Cyclic Jacobi sweeps, scalar loops (numba-compilable).
-
-    Mutates ``a`` towards diagonal and accumulates rotations into ``v``.
-    Returns the number of sweeps used, or -1 if the budget ran out.
-    """
-    d = a.shape[0]
-    tol_sq = rel_tol * rel_tol
-    for sweep in range(max_sweeps + 1):
-        off_sq = 0.0
-        dia_sq = 0.0
-        for i in range(d):
-            dia_sq += a[i, i] * a[i, i]
-            for j in range(i + 1, d):
-                off_sq += 2.0 * a[i, j] * a[i, j]
-        if off_sq <= tol_sq * dia_sq:
-            return sweep
-        if sweep == max_sweeps:
-            return -1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = 0.5 * (a[q, q] - a[p, p]) / apq
-                if tau > 1e150:
-                    t = 0.5 / tau
-                elif tau < -1e150:
-                    t = 0.5 / tau
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(d):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(d):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(d):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    return -1
-
-
-def _jacobi_core_np(a, v, max_sweeps, rel_tol):
-    """Same sweep schedule as :func:`_jacobi_core`, vectorized row updates."""
-    d = a.shape[0]
-    tol_sq = rel_tol * rel_tol
-    for sweep in range(max_sweeps + 1):
-        # Summed in the same sequential order as the scalar core so both
-        # backends take identical convergence decisions (and therefore
-        # produce bit-identical output).  A vectorized sum would reassociate
-        # and, via cancellation, could stop a sweep early.
-        off_sq = 0.0
-        dia_sq = 0.0
-        for i in range(d):
-            dia_sq += a[i, i] * a[i, i]
-            for j in range(i + 1, d):
-                off_sq += 2.0 * a[i, j] * a[i, j]
-        if off_sq <= tol_sq * dia_sq:
-            return sweep
-        if sweep == max_sweeps:
-            return -1
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = 0.5 * (a[q, q] - a[p, p]) / apq
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    return -1
-
-
-_jacobi_core_nb = _accel.jit(_jacobi_core)
-_jacobi = _accel.dispatch(_jacobi_core_np, _jacobi_core_nb)
-
-
 def sym_eigen(m) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
-    Eigenvalues come back in descending order; ties keep their original
-    diagonal index (stable sort), so a scalar matrix ``c * I`` returns the
-    identity as its eigenvector matrix exactly.  Each eigenvector is signed
-    so its largest-magnitude entry is positive.  Input that is already
-    diagonal short-circuits before any rotation, hence passes through with
-    its values bit-for-bit intact.
+    Eigenvalues come back in descending order by a stable sort.  Each
+    eigenvector is signed so its largest-magnitude entry (the first one, on
+    exact ties) is positive.  Input that is already diagonal (every
+    off-diagonal entry exactly zero) short-circuits before LAPACK: its values
+    pass through bit for bit and ties keep their diagonal index, so a scalar
+    matrix ``c * I`` returns the identity as its eigenvector matrix exactly.
+    LAPACK reads only the lower triangle; the symmetry check bounds how far
+    the upper one may differ.  A LAPACK failure raises :class:`NoConvergence`.
     """
     a = _as_square(m, "sym_eigen input")
     _require_symmetric(a, "sym_eigen input")
     d = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(d)
-    sweeps = _jacobi(work, vecs, MAX_JACOBI_SWEEPS, JACOBI_REL_TOL)
-    if sweeps < 0:
-        raise NoConvergence(
-            f"Jacobi eigensolver did not converge in {MAX_JACOBI_SWEEPS} sweeps"
-        )
-    vals = np.diag(work).copy()
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        vals, vecs = np.diagonal(a).copy(), np.eye(d)
+    else:
+        try:
+            vals, vecs = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"symmetric eigensolver failed: {exc}") from None
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(d):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[k, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    if d:
+        peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+        vecs[:, peak < 0.0] *= -1.0
     return SymEigen(eigenvectors=np.ascontiguousarray(vecs), eigenvalues=vals)
 
 

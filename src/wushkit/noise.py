@@ -236,8 +236,8 @@ def random_spd_moment(d: int, seed: int, spread: float = 1.0):
     """
     if d < 1:
         raise ValidationError(f"dimension must be >= 1, got {d}")
-    if spread < 0:
-        raise ValidationError(f"spread must be nonnegative, got {spread}")
+    if not 0.0 <= spread < math.inf:
+        raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
     rot_seed_ss, eig_ss = np.random.SeedSequence(seed).spawn(2)
     lam = np.exp(
         spread * np.random.default_rng(eig_ss).standard_normal(d)

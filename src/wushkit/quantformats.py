@@ -45,7 +45,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import _accel
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
@@ -162,39 +161,8 @@ def _mid_excluded(fmt: FpFormat) -> bool:
 
 # --- rounding kernels -----------------------------------------------------
 
-def _rtn_even_core(x, grid, out):
-    n = x.shape[0]
-    last = grid.shape[0] - 1
-    for i in range(n):
-        v = x[i]
-        a = v if v >= 0.0 else -v
-        if a >= grid[last]:
-            r = grid[last]
-        elif a <= grid[0]:
-            r = grid[0]
-        else:
-            lo = 0
-            hi = last
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if grid[mid] <= a:
-                    lo = mid
-                else:
-                    hi = mid
-            dlo = a - grid[lo]
-            dhi = grid[hi] - a
-            if dlo < dhi:
-                r = grid[lo]
-            elif dhi < dlo:
-                r = grid[hi]
-            elif lo % 2 == 0:
-                r = grid[lo]
-            else:
-                r = grid[hi]
-        out[i] = r if v >= 0.0 else -r
-
-
-def _rtn_even_core_np(x, grid, out):
+def _rtn_even(x, grid):
+    """Signed nearest value of ``grid`` to ``x``, exact ties to the even index."""
     a = np.abs(x)
     last = grid.size - 1
     idx = np.searchsorted(grid, a, side="right") - 1
@@ -207,35 +175,11 @@ def _rtn_even_core_np(x, grid, out):
     r = np.where(take_hi, hi, lo)
     r = np.where(a >= grid[last], grid[last], r)
     r = np.where(a <= grid[0], grid[0], r)
-    np.copyto(out, np.where(x >= 0.0, r, -r))
+    return np.where(x >= 0.0, r, -r)
 
 
-def _stoch_core(x, sgrid, u, out):
-    n = x.shape[0]
-    last = sgrid.shape[0] - 1
-    for i in range(n):
-        v = x[i]
-        if v <= sgrid[0]:
-            out[i] = sgrid[0]
-            continue
-        if v >= sgrid[last]:
-            out[i] = sgrid[last]
-            continue
-        lo = 0
-        hi = last
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if sgrid[mid] <= v:
-                lo = mid
-            else:
-                hi = mid
-        glo = sgrid[lo]
-        ghi = sgrid[hi]
-        p = (v - glo) / (ghi - glo)
-        out[i] = ghi if u[i] < p else glo
-
-
-def _stoch_core_np(x, sgrid, u, out):
+def _stoch(x, sgrid, u):
+    """Round ``x`` onto ``sgrid``, up where ``u`` is below the fractional distance."""
     last = sgrid.size - 1
     idx = np.searchsorted(sgrid, x, side="right") - 1
     idx = np.clip(idx, 0, last - 1)
@@ -244,14 +188,7 @@ def _stoch_core_np(x, sgrid, u, out):
     p = (x - glo) / (ghi - glo)
     r = np.where(u < p, ghi, glo)
     r = np.where(x <= sgrid[0], sgrid[0], r)
-    r = np.where(x >= sgrid[last], sgrid[last], r)
-    np.copyto(out, r)
-
-
-_rtn_even_nb = _accel.jit(_rtn_even_core)
-_stoch_nb = _accel.jit(_stoch_core)
-_rtn_even = _accel.dispatch(_rtn_even_core_np, _rtn_even_nb)
-_stoch = _accel.dispatch(_stoch_core_np, _stoch_nb)
+    return np.where(x >= sgrid[last], sgrid[last], r)
 
 
 @lru_cache(maxsize=32)
@@ -278,13 +215,8 @@ def rtn_value(x, fmt: FpFormat):
     arr = np.asarray(x, dtype=np.float64)
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
-    grid = enumerate_grid(fmt)
-    flat = np.ascontiguousarray(arr.reshape(-1))
-    out = np.empty_like(flat)
-    _rtn_even(flat, grid, out)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    out = _rtn_even(arr, enumerate_grid(fmt))
+    return float(out) if arr.ndim == 0 else out
 
 
 # --- schemes --------------------------------------------------------------
@@ -420,23 +352,17 @@ def _round_codes(
 ) -> np.ndarray:
     """Round already-scaled values onto the value grid."""
     vf = scheme.value_format
-    flat = np.ascontiguousarray(scaled.reshape(-1))
+    nearest = scheme.rounding == ROUND_NEAREST_EVEN
     if isinstance(vf, IntSpec):
         gmax = float(vf.grid_max)
-        if scheme.rounding == ROUND_NEAREST_EVEN:
-            codes = np.clip(np.rint(flat), -gmax, gmax)
-        else:
-            clamped = np.clip(flat, -gmax, gmax)
-            base = np.floor(clamped)
-            frac = clamped - base
-            codes = base + (uniforms.reshape(-1) < frac)
-        return codes.reshape(scaled.shape)
-    out = np.empty_like(flat)
-    if scheme.rounding == ROUND_NEAREST_EVEN:
-        _rtn_even(flat, enumerate_grid(vf), out)
-    else:
-        _stoch(flat, _signed_grid(vf), np.ascontiguousarray(uniforms.reshape(-1)), out)
-    return out.reshape(scaled.shape)
+        if nearest:
+            return np.clip(np.rint(scaled), -gmax, gmax)
+        clamped = np.clip(scaled, -gmax, gmax)
+        base = np.floor(clamped)
+        return base + (uniforms < clamped - base)
+    if nearest:
+        return _rtn_even(scaled, enumerate_grid(vf))
+    return _stoch(scaled, _signed_grid(vf), uniforms)
 
 
 def _check_values(v: np.ndarray, name: str) -> np.ndarray:

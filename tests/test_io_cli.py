@@ -407,6 +407,11 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["loss", "--weights", "a", "--activations", "b",
                      "--kind", "bogus", "--scheme", "int4"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+    # a negative dimension range is refused before any table is printed
+    assert cli.main(["bounds", "--samples", "100", "--max-log2-d", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--max-log2-d" in captured.err and "must be >= 0" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_validation_failure_exit_1(tmp_path, capsys):
@@ -417,6 +422,9 @@ def test_cli_validation_failure_exit_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "No such file" in capsys.readouterr().err
+    for spread in ("nan", "inf"):
+        assert cli.main(["validate", "fp", "--d", "4", "--spread", spread]) == 1
+        assert "spread must be finite" in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):

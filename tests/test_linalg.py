@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-import wushkit
 from wushkit import (
     InvalidSpec,
     NaNInput,
+    NoConvergence,
     NotPositiveDefinite,
     NotPowerOfTwo,
     NotSymmetric,
@@ -15,7 +15,7 @@ from wushkit import (
     random_rotation,
     sym_eigen,
 )
-from wushkit._accel import HAS_NUMBA
+from wushkit import cli
 
 
 def _rand_sym(d, seed, scale=1.0):
@@ -88,11 +88,23 @@ def test_sym_eigen_diagonal_input_is_exact():
     np.testing.assert_array_equal(vals, [7.0, 3.0, 0.5, -1.0])
     # eigenvectors are signed unit vectors in the sort order
     np.testing.assert_array_equal(np.abs(vecs), np.eye(4)[:, [2, 0, 3, 1]])
+    # ties keep their diagonal index, so c * I gives back the identity
+    vecs, vals = sym_eigen(2.5 * np.eye(3))
+    np.testing.assert_array_equal(vecs, np.eye(3))
+    np.testing.assert_array_equal(vals, [2.5, 2.5, 2.5])
 
 
-@pytest.mark.parametrize("d", [3, 8, 33, 64])
+def _repeated_spectrum():
+    # non-diagonal, with exactly repeated eigenvalues: Q diag(3, 3, 1, 1) Q^T
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    m = (q * np.array([3.0, 3.0, 1.0, 1.0])) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 33, 64, 128, "repeated"])
 def test_sym_eigen_reconstruction_and_order(d):
-    m = _rand_sym(d, d)
+    m = _repeated_spectrum() if d == "repeated" else _rand_sym(d, d)
+    d = m.shape[0]
     vecs, vals = sym_eigen(m)
     np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, m, atol=1e-10)
     np.testing.assert_allclose(vecs.T @ vecs, np.eye(d), atol=1e-12)
@@ -100,6 +112,8 @@ def test_sym_eigen_reconstruction_and_order(d):
     np.testing.assert_allclose(
         vals, np.sort(np.linalg.eigvalsh(m))[::-1], atol=1e-10
     )
+    # sign rule: each eigenvector's largest-magnitude entry is positive
+    assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)] > 0)
 
 
 def test_sym_eigen_sign_convention():
@@ -113,6 +127,19 @@ def test_sym_eigen_sign_convention():
 def test_sym_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         sym_eigen(np.arange(9.0).reshape(3, 3))
+
+
+def test_sym_eigen_lapack_failure_is_no_convergence(monkeypatch, capsys):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        sym_eigen(_rand_sym(4, 0))
+    # already-diagonal input never reaches LAPACK
+    np.testing.assert_array_equal(sym_eigen(np.diag([1.0, 2.0])).eigenvalues, [2.0, 1.0])
+    assert cli.main(["validate", "fp", "--d", "8", "--samples", "100"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- hadamard
@@ -159,20 +186,3 @@ def test_invert_rejects_singular_and_illconditioned():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(Singular):
         invert(np.diag([1.0, 1e-15]))
-
-
-# ---------------------------------------------------------------- backends
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_bitwise_on_eigen():
-    m = _rand_sym(48, 11)
-    try:
-        wushkit.set_backend("numpy")
-        v_np, l_np = sym_eigen(m)
-        wushkit.set_backend("numba")
-        v_nb, l_nb = sym_eigen(m)
-    finally:
-        wushkit.set_backend("auto")
-    np.testing.assert_array_equal(l_np, l_nb)
-    np.testing.assert_array_equal(v_np, v_nb)

@@ -284,3 +284,6 @@ def test_random_spd_moment_validation():
         noise.random_spd_moment(0, seed=1)
     with pytest.raises(ValidationError):
         noise.random_spd_moment(3, seed=1, spread=-0.1)
+    for spread in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="spread"):
+            noise.random_spd_moment(3, seed=1, spread=spread)

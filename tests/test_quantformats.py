@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-import wushkit
 import wushkit.quantformats as qf
 from wushkit import InvalidSpec, NaNInput, ShapeMismatch
-from wushkit._accel import HAS_NUMBA
 
 E2M1_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
 
@@ -82,19 +80,6 @@ def test_rtn_e4m3_roundtrip_on_grid():
 def test_rtn_rejects_nan():
     with pytest.raises(NaNInput):
         qf.rtn_value(np.nan, qf.E2M1)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_rtn_backends_bitwise_identical():
-    xs = np.random.default_rng(3).uniform(-500, 500, 2000)
-    try:
-        wushkit.set_backend("numpy")
-        a = qf.rtn_value(xs, qf.E4M3)
-        wushkit.set_backend("numba")
-        b = qf.rtn_value(xs, qf.E4M3)
-    finally:
-        wushkit.set_backend("auto")
-    np.testing.assert_array_equal(a, b)
 
 
 # ------------------------------------------------------------------- bf16
@@ -271,20 +256,6 @@ def test_stochastic_matrix_reproducible_and_bracketing():
         lo = sgrid[np.clip(np.searchsorted(sgrid, t, side="right") - 1, 0, sgrid.size - 1)]
         hi = sgrid[np.clip(np.searchsorted(sgrid, t, side="left"), 0, sgrid.size - 1)]
         assert np.all((g.codes == lo) | (g.codes == hi))
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_stochastic_backends_bitwise_identical():
-    scheme = qf.mxfp4_scheme(rounding=qf.ROUND_STOCHASTIC)
-    m = np.random.default_rng(12).standard_normal((64, 3))
-    try:
-        wushkit.set_backend("numpy")
-        a = qf.quantize_matrix(m, scheme, np.random.default_rng(7))
-        wushkit.set_backend("numba")
-        b = qf.quantize_matrix(m, scheme, np.random.default_rng(7))
-    finally:
-        wushkit.set_backend("auto")
-    np.testing.assert_array_equal(a, b)
 
 
 # ------------------------------------------------------------ int formats
