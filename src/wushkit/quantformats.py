@@ -22,7 +22,10 @@ these grids is the even index into the sorted magnitude table (integers use
 ``rint``, i.e. half-to-even).  Stochastic rounding interpolates linearly
 between the two bracketing grid points and rounds up with probability
 proportional to the distance; the group scale is always chosen
-deterministically so only the codes are random.
+deterministically so only the codes are random.  A group takes
+``group_size`` consecutive uniforms from the caller's ``rng``;
+``quantize_matrix`` draws all of them in one call, sub-column by sub-column
+in flat order ``block_index * n_cols + col_index``.
 
 Group quantization
 ------------------
@@ -372,6 +375,20 @@ def _check_values(v: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng):
+    """Codes and ``(n_blocks, cols)`` scales of ``(n_blocks, d, cols)`` blocks."""
+    stochastic = scheme.rounding == ROUND_STOCHASTIC
+    if stochastic and rng is None:
+        raise InvalidSpec("stochastic rounding requires an rng")
+    n, d, cols = blocks.shape
+    clip = 1.0 if scheme.clipping is None else scheme.clipping
+    raw = clip * np.abs(blocks).max(axis=1) / scheme.grid_max
+    scales = _represent_scales(raw, scheme)
+    uniforms = rng.random((n, cols, d)).transpose(0, 2, 1) if stochastic else None
+    codes = _round_codes(blocks / scales[:, None, :], scheme, uniforms)
+    return codes, scales
+
+
 def quantize_group(
     v, scheme: QuantScheme, rng: Optional[np.random.Generator] = None
 ) -> QuantizedGroup:
@@ -387,15 +404,8 @@ def quantize_group(
         raise ShapeMismatch(
             f"group must be a vector of length {scheme.group_size}, got shape {arr.shape}"
         )
-    stochastic = scheme.rounding == ROUND_STOCHASTIC
-    if stochastic and rng is None:
-        raise InvalidSpec("stochastic rounding requires an rng")
-    clip = 1.0 if scheme.clipping is None else scheme.clipping
-    absmax = float(np.max(np.abs(arr)))
-    raw = np.array([clip * absmax / scheme.grid_max])
-    scale = float(_represent_scales(raw, scheme)[0])
-    uniforms = rng.random(arr.size) if stochastic else None
-    codes = _round_codes(arr / scale, scheme, uniforms)
+    codes, scales = _quantize_blocks(arr.reshape(1, -1, 1), scheme, rng)
+    codes, scale = codes.ravel(), float(scales[0, 0])
     return QuantizedGroup(codes=codes, scale=scale, dequantized=codes * scale)
 
 
@@ -404,11 +414,13 @@ def quantize_matrix(
 ) -> np.ndarray:
     """Quantize every ``group_size x 1`` sub-column of ``m`` independently.
 
-    Rows must be divisible by the group size.  Equivalent to stacking
+    Rows must be divisible by the group size ``d``.  Equivalent to stacking
     :func:`quantize_group` over all sub-columns but vectorized.  In
-    stochastic mode each sub-column gets its own child stream, spawned from
-    ``rng`` in flat order ``block_index * n_cols + col_index``, so results
-    do not depend on evaluation order.
+    stochastic mode one ``rng.random`` call draws every uniform: the
+    sub-column of block ``b`` and column ``j`` takes the ``d`` consecutive
+    uniforms at flat position ``b * n_cols + j``.  That is bit-identical to
+    :func:`quantize_group` on the sub-columns in that order (blocks
+    outermost) with the same ``rng``, and independent of evaluation order.
     """
     arr = _check_values(m, "matrix")
     if arr.ndim != 2:
@@ -417,21 +429,5 @@ def quantize_matrix(
     rows, cols = arr.shape
     if rows % d != 0:
         raise ShapeMismatch(f"rows ({rows}) not divisible by group size ({d})")
-    stochastic = scheme.rounding == ROUND_STOCHASTIC
-    if stochastic and rng is None:
-        raise InvalidSpec("stochastic rounding requires an rng")
-    n_blocks = rows // d
-    blocks = arr.reshape(n_blocks, d, cols)
-    clip = 1.0 if scheme.clipping is None else scheme.clipping
-    absmax = np.abs(blocks).max(axis=1)  # (n_blocks, cols)
-    raw = clip * absmax / scheme.grid_max
-    scales = _represent_scales(raw, scheme)
-    uniforms = None
-    if stochastic:
-        uniforms = np.empty_like(blocks)
-        children = rng.spawn(n_blocks * cols)
-        for b in range(n_blocks):
-            for j in range(cols):
-                uniforms[b, :, j] = children[b * cols + j].random(d)
-    codes = _round_codes(blocks / scales[:, None, :], scheme, uniforms)
+    codes, scales = _quantize_blocks(arr.reshape(rows // d, d, cols), scheme, rng)
     return (codes * scales[:, None, :]).reshape(rows, cols)

@@ -14,7 +14,7 @@ block of the damped second moments ``M_W = W W^T / d_out + ridge`` and
 Note the deliberate crossing: the Cholesky factor of the *weight* moment
 lands in the transform applied to *activations*, and vice versa.  Dropping
 the leading Hadamard gives the ``wus`` variant; ``i``, ``h`` and ``r``
-(identity, Hadamard, Haar-random rotation) are the orthogonal baselines.
+(identity, Hadamard, Haar-random orthogonal) are the orthogonal baselines.
 """
 
 from __future__ import annotations

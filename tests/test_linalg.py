@@ -161,10 +161,16 @@ def test_hadamard_rejects_non_power_of_two(d):
 # --------------------------------------------------------- random_rotation
 
 
-def test_random_rotation_is_special_orthogonal():
-    q = random_rotation(32, seed=9)
-    np.testing.assert_allclose(q @ q.T, np.eye(32), atol=1e-12)
-    assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("d", [2, 32])
+def test_random_rotation_is_orthogonal(d):
+    # Haar on O(d), not SO(d): both determinant signs must occur
+    dets = []
+    for seed in range(16):
+        q = random_rotation(d, seed=seed)
+        np.testing.assert_allclose(q @ q.T, np.eye(d), atol=1e-12)
+        dets.append(np.linalg.det(q))
+    np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-10)
+    assert min(dets) < 0.0 < max(dets)
 
 
 def test_random_rotation_seeding():

@@ -170,14 +170,21 @@ def test_quantize_group_shape_errors():
         qf.quantize_group(np.full(32, np.nan), qf.mxfp4_scheme())
 
 
-def test_quantize_matrix_matches_groups():
-    scheme = qf.nvfp4_scheme()
-    m = np.random.default_rng(6).standard_normal((32, 3))
-    full = qf.quantize_matrix(m, scheme)
-    for c in range(3):
-        for b in range(2):
-            g = qf.quantize_group(m[16 * b : 16 * (b + 1), c], scheme)
-            np.testing.assert_array_equal(full[16 * b : 16 * (b + 1), c], g.dequantized)
+@pytest.mark.parametrize("rounding", [qf.ROUND_NEAREST_EVEN, qf.ROUND_STOCHASTIC])
+@pytest.mark.parametrize("preset", qf.PRESET_NAMES)
+def test_quantize_matrix_matches_groups(preset, rounding):
+    # the documented stream: one shared rng, blocks outermost, columns
+    # innermost, group_size consecutive uniforms per sub-column
+    scheme = qf.scheme_by_name(preset, rounding=rounding)
+    d = scheme.group_size
+    m = np.random.default_rng(6).standard_normal((3 * d, 4)) * 5.0
+    for k in range(3):
+        full = qf.quantize_matrix(m, scheme, np.random.default_rng(k))
+        rng = np.random.default_rng(k)
+        for b in range(3):
+            for c in range(4):
+                g = qf.quantize_group(m[d * b : d * (b + 1), c], scheme, rng)
+                np.testing.assert_array_equal(full[d * b : d * (b + 1), c], g.dequantized)
 
 
 def test_quantize_matrix_rejects_bad_rows():
