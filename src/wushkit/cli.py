@@ -181,14 +181,14 @@ def _cmd_plan(args) -> int:
     plan = build_layer_plan(w, x, args.kind, scheme, args.damp, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_tensor(out / "t_act.wten", np.stack([b.t_act for b in plan.blocks]))
-    write_tensor(out / "t_weight.wten", np.stack([b.t_weight for b in plan.blocks]))
-    write_tensor(out / "w_hat.wten", np.stack(plan.w_hat_blocks))
+    write_tensor(out / "t_act.wten", plan.t_act)
+    write_tensor(out / "t_weight.wten", plan.t_weight)
+    write_tensor(out / "w_hat.wten", plan.w_hat)
     meta = {
         "kind": plan.kind,
         "scheme": scheme.name,
         "group_size": plan.d,
-        "n_blocks": len(plan.blocks),
+        "n_blocks": plan.n_blocks,
         "d_in": plan.d_in,
         "d_out": plan.d_out,
         "damp": plan.damp,
@@ -196,7 +196,7 @@ def _cmd_plan(args) -> int:
         "rounding": scheme.rounding,
     }
     (out / "plan.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    print(f"wrote {len(plan.blocks)} block transforms to {out}")
+    print(f"wrote {plan.n_blocks} block transforms to {out}")
     return 0
 
 

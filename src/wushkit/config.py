@@ -49,7 +49,6 @@ _DEFAULTS = {
     "group_size": None,
     "rounding": "nearest",
     "r_repeats": 1,
-    "mc_samples": 100000,
     "output": None,
 }
 
@@ -99,7 +98,6 @@ class ExperimentConfig:
     group_size: Optional[int] = None
     rounding: str = _DEFAULTS["rounding"]
     r_repeats: int = _DEFAULTS["r_repeats"]
-    mc_samples: int = _DEFAULTS["mc_samples"]
     output: Optional[str] = None
     base_dir: Path = Path(".")
 
@@ -130,8 +128,6 @@ class ExperimentConfig:
             )
         if self.r_repeats < 1:
             raise InvalidSpec(f"r_repeats: must be >= 1, got {self.r_repeats}")
-        if self.mc_samples < 2:
-            raise InvalidSpec(f"mc_samples: must be >= 2, got {self.mc_samples}")
         self._tensor_cache = None
         # Trigger validation of the data block and every scheme name now,
         # before any computation starts.
@@ -205,7 +201,6 @@ class ExperimentConfig:
             "group_size": self.group_size,
             "rounding": self.rounding,
             "r_repeats": self.r_repeats,
-            "mc_samples": self.mc_samples,
             "output": self.output,
         }
 
@@ -281,8 +276,6 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         kwargs["rounding"] = _want("rounding", top["rounding"], str)
     if "r_repeats" in top:
         kwargs["r_repeats"] = _want("r_repeats", top["r_repeats"], int)
-    if "mc_samples" in top:
-        kwargs["mc_samples"] = _want("mc_samples", top["mc_samples"], int)
     if "output" in top and top["output"] is not None:
         kwargs["output"] = _want("output", top["output"], str)
     return ExperimentConfig(

@@ -143,18 +143,17 @@ def _factors(plan: LayerPlan, x_arr: np.ndarray, rng, w_arr=None):
         raise ShapeMismatch(
             f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
         )
-    d = plan.d
-    b = np.empty((plan.n_blocks, 2 * d, x_arr.shape[1]))
-    a = None if w_arr is None else np.empty((plan.n_blocks, 2 * d, plan.d_out))
-    for i, bt in enumerate(plan.blocks):
-        sl = slice(i * d, (i + 1) * d)
-        x_t = bt.t_act @ x_arr[sl]
-        b[i, :d] = quantize_matrix(x_t, plan.scheme, rng)
-        np.subtract(b[i, :d], x_t, out=b[i, d:])
-        if a is not None:
-            w_t = bt.t_weight @ w_arr[sl]
-            np.subtract(plan.w_hat_blocks[i], w_t, out=a[i, :d])
-            a[i, d:] = w_t
+    n, d = plan.n_blocks, plan.d
+    b = np.empty((n, 2 * d, x_arr.shape[1]))
+    np.matmul(plan.t_act, x_arr.reshape(n, d, x_arr.shape[1]), out=b[:, d:])
+    for i in range(n):
+        b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
+    np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
+    if w_arr is None:
+        return None, b
+    a = np.empty((n, 2 * d, plan.d_out))
+    np.matmul(plan.t_weight, w_arr.reshape(n, d, plan.d_out), out=a[:, d:])
+    np.subtract(plan.w_hat, a[:, d:], out=a[:, :d])
     return a, b
 
 
@@ -180,7 +179,7 @@ def forward_quantized(
         rng = _act_rng(plan)
     _, b = _factors(plan, _as_2d(x, "activations"), rng)
     q = b[:, : plan.d].reshape(plan.d_in, b.shape[-1])
-    return np.concatenate(plan.w_hat_blocks).T @ q
+    return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
 def layer_loss(

@@ -237,7 +237,6 @@ class QuantScheme:
     group_size: int
     clipping: Optional[float] = None
     rounding: str = ROUND_NEAREST_EVEN
-    po2_scale_mode: str = "ceil"  # scale rounding for mantissa-free formats
     name: str = ""
 
     def __post_init__(self):
@@ -249,8 +248,6 @@ class QuantScheme:
             raise InvalidSpec(f"clipping must lie in (0, 1], got {self.clipping}")
         if self.rounding not in (ROUND_NEAREST_EVEN, ROUND_STOCHASTIC):
             raise InvalidSpec(f"unknown rounding mode {self.rounding!r}")
-        if self.po2_scale_mode not in ("ceil", "floor"):
-            raise InvalidSpec(f"po2_scale_mode must be ceil or floor")
         if isinstance(self.value_format, FpFormat) and _mid_excluded(self.value_format):
             raise InvalidSpec("value format with mid-grid NaN codes unsupported")
 
@@ -273,8 +270,8 @@ class QuantizedGroup:
     dequantized: np.ndarray
 
 
-def mxfp4_scheme(rounding: str = ROUND_NEAREST_EVEN, po2_scale_mode: str = "ceil") -> QuantScheme:
-    return QuantScheme(E2M1, E8M0, 32, None, rounding, po2_scale_mode, name="mxfp4")
+def mxfp4_scheme(rounding: str = ROUND_NEAREST_EVEN) -> QuantScheme:
+    return QuantScheme(E2M1, E8M0, 32, None, rounding, name="mxfp4")
 
 
 def nvfp4_scheme(rounding: str = ROUND_NEAREST_EVEN) -> QuantScheme:
@@ -333,16 +330,13 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     if isinstance(sf, Bf16Spec):
         s = round_bf16(raw)
     elif sf.mant_bits == 0:
-        # Power-of-two grid: round the exponent up (default) or down.
+        # Power-of-two grid: round the exponent up, so absmax / scale never
+        # exceeds the value grid's max and no value saturates.
         grid = enumerate_grid(sf)
         k_lo = int(np.rint(np.log2(grid[0])))
         k_hi = int(np.rint(np.log2(grid[-1])))
         frac, e = np.frexp(raw)  # raw = frac * 2**e, frac in [0.5, 1)
-        if scheme.po2_scale_mode == "ceil":
-            k = e - (frac == 0.5)
-        else:
-            k = e - 1
-        k = np.clip(k, k_lo, k_hi)
+        k = np.clip(e - (frac == 0.5), k_lo, k_hi)
         s = np.ldexp(1.0, k.astype(np.int64))
     else:
         s = rtn_value(raw, sf)

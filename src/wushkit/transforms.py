@@ -19,7 +19,7 @@ the leading Hadamard gives the ``wus`` variant; ``i``, ``h`` and ``r``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ DEFAULT_DAMP = 0.01
 
 @dataclass(frozen=True)
 class MomentPair:
-    """Damped second moments of a layer, full size (not yet blocked)."""
+    """Damped diagonal ``d x d`` moment blocks, stacked ``(n_blocks, d, d)``."""
 
     m_w: np.ndarray
     m_x: np.ndarray
@@ -51,7 +51,6 @@ class BlockTransform:
     """Transforms for one diagonal block."""
 
     kind: str
-    block_index: int
     t_act: np.ndarray
     t_weight: np.ndarray
     eigenvalues: Optional[np.ndarray] = None  # clamped, descending; wus/wush only
@@ -59,21 +58,35 @@ class BlockTransform:
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """Everything needed to run the quantized forward pass of one layer."""
+    """Everything needed to run the quantized forward pass of one layer.
+
+    Block ``i`` of each stack acts on input rows ``i*d : (i+1)*d``; the sizes
+    are read from the stacks' shapes.
+    """
 
     kind: str
     scheme: QuantScheme
-    d: int
-    d_in: int
-    d_out: int
     damp: float
     seed: int
-    blocks: tuple
-    w_hat_blocks: tuple  # pre-quantized (dequantized) transformed weights
+    t_act: np.ndarray  # (n_blocks, d, d)
+    t_weight: np.ndarray  # (n_blocks, d, d)
+    w_hat: np.ndarray  # (n_blocks, d, d_out) pre-quantized (dequantized) t_weight w
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.t_act.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.t_act.shape[1]
+
+    @property
+    def d_in(self) -> int:
+        return self.n_blocks * self.d
+
+    @property
+    def d_out(self) -> int:
+        return self.w_hat.shape[2]
 
 
 def _as_2d(m, name: str) -> np.ndarray:
@@ -85,11 +98,14 @@ def _as_2d(m, name: str) -> np.ndarray:
     return arr
 
 
-def second_moments(w, x, damp: float = DEFAULT_DAMP) -> MomentPair:
-    """Damped second moments ``W W^T / d_out`` and ``X X^T / d_batch``.
+def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
+    """Diagonal ``d x d`` blocks of the damped second moments ``W W^T / d_out``
+    and ``X X^T / d_batch``, stacked ``(n_blocks, d, d)``.
 
-    The ridge is relative, ``damp * mean(diag(raw moment)) * I``, and is
-    added to the full moment before any blocks are cut out.
+    Only the blocks are computed.  The ridge is relative,
+    ``damp * mean(diag(raw moment)) * I``; the block diagonals together are
+    the full moment's diagonal, so a weak block in a strong layer is damped
+    by the layer-wide scale.
     """
     w_arr = _as_2d(w, "weights")
     x_arr = _as_2d(x, "activations")
@@ -102,12 +118,17 @@ def second_moments(w, x, damp: float = DEFAULT_DAMP) -> MomentPair:
     if damp < 0.0:
         raise InvalidSpec(f"damp must be >= 0, got {damp}")
     d_in = w_arr.shape[0]
+    if d < 1 or d_in % d != 0:
+        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
 
     def _moment(a: np.ndarray) -> np.ndarray:
-        m = a @ a.T / a.shape[1]
-        m = 0.5 * (m + m.T)
+        a3 = a.reshape(d_in // d, d, a.shape[1])
+        m = a3 @ a3.transpose(0, 2, 1) / a.shape[1]
+        m = 0.5 * (m + m.transpose(0, 2, 1))
         if damp > 0.0:
-            m = m + damp * float(np.mean(np.diag(m))) * np.eye(d_in)
+            # one row-ordered run: the full moment's diagonal
+            diag = np.diagonal(m, axis1=1, axis2=2).ravel()
+            m = m + damp * float(np.mean(diag)) * np.eye(d)
         return m
 
     return MomentPair(m_w=_moment(w_arr), m_x=_moment(x_arr))
@@ -151,24 +172,17 @@ def build_block(
     d = mw.shape[0]
     if kind == "i":
         eye = np.eye(d)
-        return BlockTransform(kind, 0, eye, eye.copy())
+        return BlockTransform(kind, eye, eye.copy())
     if kind == "h":
         h = hadamard(d)
-        return BlockTransform(kind, 0, h, h.copy())
+        return BlockTransform(kind, h, h.copy())
     if kind == "r":
         q = random_rotation(d, seed)
-        return BlockTransform(kind, 0, q, q.copy())
+        return BlockTransform(kind, q, q.copy())
     core, lam_c = _whitened_core(mw, mx)
     t_act = hadamard(d) @ core if kind == "wush" else core
     t_weight = invert(t_act).T
-    return BlockTransform(kind, 0, t_act, t_weight, eigenvalues=lam_c)
-
-
-def _rotation_seeds(seed: int, n_blocks: int, shared: bool):
-    if shared:
-        return [seed] * n_blocks
-    ss = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in ss.spawn(n_blocks)]
+    return BlockTransform(kind, t_act, t_weight, eigenvalues=lam_c)
 
 
 def build_layer_plan(
@@ -178,45 +192,31 @@ def build_layer_plan(
     scheme: QuantScheme,
     damp: float = DEFAULT_DAMP,
     seed: int = 0,
-    shared_rotation: bool = False,
 ) -> LayerPlan:
     """Moments, per-block transforms and pre-quantized weights for a layer.
 
     The transform block size equals the scheme's quantization group size;
     ``d_in`` must be divisible by it.  Random-rotation blocks get distinct
-    seeds derived from ``seed`` and the block index unless
-    ``shared_rotation`` asks for one rotation reused everywhere.  Stochastic
-    weight rounding (if the scheme requests it) draws from a stream likewise
-    derived from ``seed``.
+    seeds derived from ``seed`` and the block index.  Stochastic weight
+    rounding (if the scheme requests it) draws from a stream likewise
+    derived from ``seed``, block by block.
     """
     w_arr = _as_2d(w, "weights")
     x_arr = _as_2d(x, "activations")
     d = scheme.group_size
-    d_in = w_arr.shape[0]
-    if d_in % d != 0:
-        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
-    moments = second_moments(w_arr, x_arr, damp)
-    n_blocks = d_in // d
-    rot_seeds = _rotation_seeds(seed, n_blocks, shared_rotation)
+    moments = second_moments(w_arr, x_arr, d, damp)
+    n_blocks = moments.m_w.shape[0]
+    ss = np.random.SeedSequence(seed)
+    rot_seeds = [int(child.generate_state(1)[0]) for child in ss.spawn(n_blocks)]
+    blocks = [
+        build_block(kind, m_w, m_x, rot_seed)
+        for m_w, m_x, rot_seed in zip(moments.m_w, moments.m_x, rot_seeds)
+    ]
+    t_act = np.stack([bt.t_act for bt in blocks])
+    t_weight = np.stack([bt.t_weight for bt in blocks])
+    w_t = t_weight @ w_arr.reshape(n_blocks, d, w_arr.shape[1])
     wq_rng = None
     if scheme.rounding == ROUND_STOCHASTIC:
         wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))
-    blocks = []
-    w_hats = []
-    for i in range(n_blocks):
-        sl = slice(i * d, (i + 1) * d)
-        bt = build_block(kind, moments.m_w[sl, sl], moments.m_x[sl, sl], rot_seeds[i])
-        bt = BlockTransform(bt.kind, i, bt.t_act, bt.t_weight, bt.eigenvalues)
-        blocks.append(bt)
-        w_hats.append(quantize_matrix(bt.t_weight @ w_arr[sl, :], scheme, wq_rng))
-    return LayerPlan(
-        kind=kind,
-        scheme=scheme,
-        d=d,
-        d_in=d_in,
-        d_out=w_arr.shape[1],
-        damp=damp,
-        seed=seed,
-        blocks=tuple(blocks),
-        w_hat_blocks=tuple(w_hats),
-    )
+    w_hat = np.stack([quantize_matrix(w_i, scheme, wq_rng) for w_i in w_t])
+    return LayerPlan(kind, scheme, damp, seed, t_act, t_weight, w_hat)

@@ -23,6 +23,8 @@ from wushkit.errors import (
     ValidationError,
 )
 from wushkit.pipeline import SweepRow
+from wushkit.quantformats import nvfp4_scheme
+from wushkit.transforms import build_layer_plan
 
 # ---------------------------------------------------------------------------
 # tensor container
@@ -150,7 +152,6 @@ def test_config_defaults_resolved():
     assert resolved["damp"] == 0.01
     assert resolved["rounding"] == "nearest"
     assert resolved["r_repeats"] == 1
-    assert resolved["mc_samples"] == 100000
     assert resolved["group_size"] is None
     assert resolved["output"] is None
     assert cfg.layer_label == "synthetic"
@@ -164,6 +165,8 @@ def test_config_unknown_keys_rejected_with_path():
         parse_config(_doc(frobnicate=1))
     with pytest.raises(InvalidSpec, match="data.synthetic.d_hidden"):
         parse_config(_doc(data={"synthetic": {"d_in": 4, "d_out": 4, "d_batch": 4, "d_hidden": 2}}))
+    with pytest.raises(InvalidSpec, match="mc_samples: unknown key"):
+        parse_config(_doc(mc_samples=10))
 
 
 def test_config_synthetic_seed_rejected():
@@ -330,6 +333,13 @@ def test_cli_plan_persists_blocks(tmp_path, capsys):
     assert meta["group_size"] == 16 and meta["rounding"] == "nearest_even"
     # pairing survives the file round trip
     np.testing.assert_allclose(t_act[0] @ t_weight[0].T, np.eye(16), atol=1e-10)
+    # every block, in order, bit-equal to the plan built in memory
+    plan = build_layer_plan(
+        tensorio.read_tensor(w_path), tensorio.read_tensor(x_path), "wus", nvfp4_scheme()
+    )
+    np.testing.assert_array_equal(t_act, plan.t_act)
+    np.testing.assert_array_equal(t_weight, plan.t_weight)
+    np.testing.assert_array_equal(w_hat, plan.w_hat)
 
 
 def _sweep_config(tmp_path, output="losses.csv"):

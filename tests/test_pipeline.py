@@ -151,8 +151,7 @@ def test_forward_quantized_single_block_composition():
     w, x = pl.gen_synthetic(_spec(d_in=32))
     plan = build_layer_plan(w, x, "wush", int4_scheme())
     assert plan.n_blocks == 1
-    bt = plan.blocks[0]
-    manual = plan.w_hat_blocks[0].T @ quantize_matrix(bt.t_act @ x, plan.scheme)
+    manual = plan.w_hat[0].T @ quantize_matrix(plan.t_act[0] @ x, plan.scheme)
     np.testing.assert_array_equal(pl.forward_quantized(plan, x), manual)
 
 
@@ -240,14 +239,14 @@ def test_losses_match_dense_reference(kind, scheme_name):
     approx = np.zeros((8, 256))
     first = np.zeros((8, 256))
     block_raw = []
-    for i, bt in enumerate(plan.blocks):
+    for i in range(plan.n_blocks):
         sl = slice(i * plan.d, (i + 1) * plan.d)
-        x_t = bt.t_act @ x[sl]
-        w_t = bt.t_weight @ w[sl]
+        x_t = plan.t_act[i] @ x[sl]
+        w_t = plan.t_weight[i] @ w[sl]
         q = quantize_matrix(x_t, scheme, rng)
-        contrib = plan.w_hat_blocks[i].T @ q
+        contrib = plan.w_hat[i].T @ q
         approx += contrib
-        first += (plan.w_hat_blocks[i] - w_t).T @ x_t + w_t.T @ (q - x_t)
+        first += (plan.w_hat[i] - w_t).T @ x_t + w_t.T @ (q - x_t)
         block_raw.append(np.sum((contrib - w[sl].T @ x[sl]) ** 2))
     raw = np.sum((approx - w.T @ x) ** 2)
     norm = 8 * 256

@@ -27,47 +27,64 @@ def _spd_pair(d, seed):
 # second moments
 
 
+def _dense_moment_blocks(a, d, damp):
+    """Diagonal blocks of ``a a^T / cols`` plus the full-diagonal ridge."""
+    raw = a @ a.T / a.shape[1]
+    full = raw + damp * float(np.mean(np.diag(raw))) * np.eye(a.shape[0])
+    return np.stack([full[i : i + d, i : i + d] for i in range(0, a.shape[0], d)])
+
+
 def test_second_moments_hand_computed():
     w = np.array([[1.0, 0.0], [0.0, 2.0]])
     x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    pair = tf.second_moments(w, x, damp=0.0)
-    np.testing.assert_allclose(pair.m_w, np.diag([0.5, 2.0]), atol=1e-15)
+    pair = tf.second_moments(w, x, 2, damp=0.0)
+    np.testing.assert_allclose(pair.m_w, [np.diag([0.5, 2.0])], atol=1e-15)
     np.testing.assert_allclose(
-        pair.m_x, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0, atol=1e-15
+        pair.m_x, [np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0], atol=1e-15
     )
 
 
 def test_second_moments_relative_ridge_uses_full_diagonal():
-    # the ridge multiplies the mean of the *whole* diagonal, so a weak block
-    # embedded in a strong layer is damped by the layer-wide scale
-    w = np.diag([0.1, 0.1, 10.0, 10.0])
-    x = np.eye(4)
-    raw = w @ w.T / 4.0
-    expected = raw + 0.01 * float(np.mean(np.diag(raw))) * np.eye(4)
-    got = tf.second_moments(w, x, damp=0.01).m_w
-    np.testing.assert_allclose(got, expected, rtol=1e-14)
+    cases = [
+        # the ridge multiplies the mean of the *whole* diagonal, so a weak
+        # block embedded in a strong layer is damped by the layer-wide scale
+        (np.diag([0.1, 0.1, 10.0, 10.0]), np.eye(4), 2),
+        (*_random_layer(48, 7, 90, seed=3), 16),  # 3 blocks
+        (*_random_layer(48, 7, 90, seed=4), 4),  # 12 blocks
+    ]
+    for w, x, d in cases:
+        pair = tf.second_moments(w, x, d, damp=0.01)
+        for got, a in ((pair.m_w, w), (pair.m_x, x)):
+            expected = _dense_moment_blocks(a, d, 0.01)
+            assert got.shape == (a.shape[0] // d, d, d)
+            np.testing.assert_allclose(
+                got, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max()
+            )
 
 
 def test_second_moments_symmetric_and_default_damp():
     w, x = _random_layer(8, 5, 30, seed=0)
-    pair = tf.second_moments(w, x)
-    np.testing.assert_array_equal(pair.m_w, pair.m_w.T)
-    np.testing.assert_array_equal(pair.m_x, pair.m_x.T)
+    pair = tf.second_moments(w, x, 4)
+    np.testing.assert_array_equal(pair.m_w, pair.m_w.transpose(0, 2, 1))
+    np.testing.assert_array_equal(pair.m_x, pair.m_x.transpose(0, 2, 1))
     assert tf.DEFAULT_DAMP == 0.01
     # damp strictly increases the diagonal
-    undamped = tf.second_moments(w, x, damp=0.0)
-    assert np.all(np.diag(pair.m_w) > np.diag(undamped.m_w))
+    undamped = tf.second_moments(w, x, 4, damp=0.0)
+    diag = lambda m: np.diagonal(m, axis1=1, axis2=2)
+    assert np.all(diag(pair.m_w) > diag(undamped.m_w))
 
 
 def test_second_moments_validation():
     with pytest.raises(ShapeMismatch):
-        tf.second_moments(np.ones((3, 2)), np.ones((4, 2)))
+        tf.second_moments(np.ones((3, 2)), np.ones((4, 2)), 1)
     with pytest.raises(ShapeMismatch):
-        tf.second_moments(np.ones(3), np.ones((3, 2)))
+        tf.second_moments(np.ones(3), np.ones((3, 2)), 1)
+    with pytest.raises(ShapeMismatch, match="not divisible"):
+        tf.second_moments(np.ones((6, 2)), np.ones((6, 2)), 4)
     with pytest.raises(InvalidSpec):
-        tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), damp=-0.5)
+        tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), 2, damp=-0.5)
     with pytest.raises(NaNInput):
-        tf.second_moments(np.array([[np.nan, 1.0]]).T, np.ones((2, 2)))
+        tf.second_moments(np.array([[np.nan, 1.0]]).T, np.ones((2, 2)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,46 +192,49 @@ def test_plan_block_layout():
     plan = tf.build_layer_plan(w, x, "wush", nvfp4_scheme(), seed=0)
     assert plan.n_blocks == 3
     assert plan.d == 16 and plan.d_in == 48 and plan.d_out == 6
-    assert [b.block_index for b in plan.blocks] == [0, 1, 2]
-    for b, wh in zip(plan.blocks, plan.w_hat_blocks):
-        assert b.t_act.shape == (16, 16)
-        assert wh.shape == (16, 6)
+    assert plan.t_act.shape == plan.t_weight.shape == (3, 16, 16)
+    assert plan.w_hat.shape == (3, 16, 6)
+    # stack entry i is the block built from moment block i
+    pair = tf.second_moments(w, x, 16)
+    for i in range(3):
+        direct = tf.build_block("wush", pair.m_w[i], pair.m_x[i])
+        np.testing.assert_array_equal(plan.t_act[i], direct.t_act)
 
 
 def test_plan_matches_single_block_construction():
     w, x = _random_layer(16, 4, 64, seed=11)
     scheme = nvfp4_scheme()
     plan = tf.build_layer_plan(w, x, "wus", scheme, damp=0.02)
-    pair = tf.second_moments(w, x, damp=0.02)
-    direct = tf.build_block("wus", pair.m_w, pair.m_x)
-    np.testing.assert_array_equal(plan.blocks[0].t_act, direct.t_act)
+    pair = tf.second_moments(w, x, 16, damp=0.02)
+    direct = tf.build_block("wus", pair.m_w[0], pair.m_x[0])
+    np.testing.assert_array_equal(plan.t_act[0], direct.t_act)
     np.testing.assert_array_equal(
-        plan.w_hat_blocks[0], quantize_matrix(direct.t_weight @ w, scheme)
+        plan.w_hat[0], quantize_matrix(direct.t_weight @ w, scheme)
     )
 
 
 def test_plan_rotation_seeding():
     w, x = _random_layer(64, 4, 64, seed=12)
     scheme = mxfp4_scheme()
-    distinct = tf.build_layer_plan(w, x, "r", scheme, seed=7)
-    shared = tf.build_layer_plan(w, x, "r", scheme, seed=7, shared_rotation=True)
-    assert not np.array_equal(distinct.blocks[0].t_act, distinct.blocks[1].t_act)
-    np.testing.assert_array_equal(shared.blocks[0].t_act, shared.blocks[1].t_act)
-    # shared rotation uses the plan seed itself
-    pair = tf.second_moments(w, x)
-    direct = tf.build_block("r", pair.m_w[:32, :32], pair.m_x[:32, :32], seed=7)
-    np.testing.assert_array_equal(shared.blocks[0].t_act, direct.t_act)
+    plan = tf.build_layer_plan(w, x, "r", scheme, seed=7)
+    assert not np.array_equal(plan.t_act[0], plan.t_act[1])
+    # block i's rotation is seeded from child i of the plan seed
+    pair = tf.second_moments(w, x, 32)
+    children = np.random.SeedSequence(7).spawn(2)
+    for i, child in enumerate(children):
+        direct = tf.build_block(
+            "r", pair.m_w[i], pair.m_x[i], seed=int(child.generate_state(1)[0])
+        )
+        np.testing.assert_array_equal(plan.t_act[i], direct.t_act)
 
 
 def test_plan_deterministic():
     w, x = _random_layer(32, 5, 50, seed=13)
     a = tf.build_layer_plan(w, x, "wush", mxfp4_scheme(), seed=3)
     b = tf.build_layer_plan(w, x, "wush", mxfp4_scheme(), seed=3)
-    for ba, bb in zip(a.blocks, b.blocks):
-        np.testing.assert_array_equal(ba.t_act, bb.t_act)
-        np.testing.assert_array_equal(ba.t_weight, bb.t_weight)
-    for wa, wb in zip(a.w_hat_blocks, b.w_hat_blocks):
-        np.testing.assert_array_equal(wa, wb)
+    np.testing.assert_array_equal(a.t_act, b.t_act)
+    np.testing.assert_array_equal(a.t_weight, b.t_weight)
+    np.testing.assert_array_equal(a.w_hat, b.w_hat)
 
 
 def test_plan_stochastic_weights_seeded():
@@ -225,8 +245,8 @@ def test_plan_stochastic_weights_seeded():
     a = tf.build_layer_plan(w, x, "wus", scheme, seed=3)
     b = tf.build_layer_plan(w, x, "wus", scheme, seed=3)
     c = tf.build_layer_plan(w, x, "wus", scheme, seed=4)
-    np.testing.assert_array_equal(a.w_hat_blocks[0], b.w_hat_blocks[0])
-    assert not np.array_equal(a.w_hat_blocks[0], c.w_hat_blocks[0])
+    np.testing.assert_array_equal(a.w_hat, b.w_hat)
+    assert not np.array_equal(a.w_hat, c.w_hat)
 
 
 def test_plan_indivisible_d_in():
