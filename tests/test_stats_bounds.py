@@ -1,6 +1,8 @@
 """Closed-form max-square bounds, their Monte Carlo checks, and the quadrature."""
 
+import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -172,3 +174,98 @@ def test_survival_expectation_exponential_moment():
     # X ~ Exp(1): E X^2 = 2 via the layer-cake identity
     got = sb.survival_expectation(lambda t: 2.0 * t, lambda t: math.exp(-t), 60.0)
     assert math.isclose(got, 2.0, rel_tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the order-statistic sampler
+
+
+def test_ndtri_matches_stdlib_as241():
+    # statistics.NormalDist().inv_cdf runs the same AS241 on scalars
+    inv = statistics.NormalDist().inv_cdf
+    lo = np.logspace(-300, np.log10(0.07), 400)
+    p = np.concatenate(
+        [lo, np.linspace(0.07, 0.93, 401), 1.0 - lo[lo > 1e-16], [0.5, 1e-300, 1.0 - 2.0 ** -53]]
+    )
+    q = p - 0.5
+    r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+    central = np.abs(q) <= 0.425
+    for side in (q < 0.0, q > 0.0):  # every branch on both sides is hit
+        assert np.any(central & side)
+        assert np.any(~central & side & (r <= 5.0))
+        assert np.any(~central & side & (r > 5.0))
+    got = sb._ndtri(p)
+    want = np.array([inv(float(v)) for v in p])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # symmetry on exactly complementary pairs: 1 - hi is exact for hi >= 1/2
+    hi = p[p >= 0.5]
+    np.testing.assert_allclose(sb._ndtri(1.0 - hi), -sb._ndtri(hi), rtol=1e-14, atol=0.0)
+
+
+def test_open_uniforms_stay_inside_the_unit_interval():
+    class Extremes:
+        def integers(self, low, high, size):
+            return np.array([low, high - 1])
+
+    u = sb._open_uniforms(Extremes(), 2)
+    assert u.tolist() == [2.0 ** -53, 1.0 - 2.0 ** -53]
+    u = sb._open_uniforms(np.random.default_rng(5), (1000, 3))
+    assert u.shape == (1000, 3) and np.all((u > 0.0) & (u < 1.0))
+
+
+@pytest.mark.parametrize("family", sb.FAMILIES)
+@pytest.mark.parametrize("cov", sb.COV_STRUCTURES)
+@pytest.mark.parametrize("d", [1, 3, 1024])
+def test_max_sq_map_is_finite_at_extreme_uniforms(family, cov, d):
+    extremes = (5e-324, 0.5, 1.0 - 2.0 ** -53)  # smallest subnormal .. largest below 1
+    k = sb._N_UNIFORMS[family, cov]
+    u = np.array(list(itertools.product(extremes, repeat=k)))
+    for rho in (0.0, 0.5, 0.99):
+        m = sb._max_sq_from_uniforms(u, d, family, cov, rho, 1.0)
+        assert m.shape == (len(u),)
+        assert np.all(np.isfinite(m)) and np.all(m >= 0.0)
+
+
+def _renyi_laplace_max_sq(d):
+    # max of d unit exponentials is sum_k E_k / k; unit-variance Laplace scale^2 is 1/2
+    ks = range(1, d + 1)
+    return 0.5 * (sum(1.0 / k ** 2 for k in ks) + sum(1.0 / k for k in ks) ** 2)
+
+
+def test_mc_laplacian_iid_matches_renyi_oracle():
+    assert math.isclose(_renyi_laplace_max_sq(4), 2.881944444514749, rel_tol=1e-10)
+    for d in (1, 64, 1024):
+        est = sb.mc_max_sq("laplacian", d, n_samples=400_000, seed=5101)
+        assert abs(est.empirical - _renyi_laplace_max_sq(d)) <= 4.0 * est.se, (d, est)
+
+
+def test_mc_gaussian_iid_d1024_matches_quadrature_oracle():
+    d = 1024
+    oracle = sb.survival_expectation(
+        lambda t: 2.0 * t,
+        lambda t: 1.0 - (2.0 * _phi(t) - 1.0) ** d,
+        sb.SURVIVAL_HI_SIGMA,
+    )
+    est = sb.mc_max_sq("gaussian", d, n_samples=400_000, seed=5102)
+    assert abs(est.empirical - oracle) <= 4.0 * est.se, (oracle, est)
+
+
+def test_mc_d2_matches_closed_forms():
+    # max(a, b) = (a + b)/2 + |a - b|/2, and X1 - X2, X1 + X2 are independent
+    for rho in (0.0, 0.5, 0.9):
+        oracle = 1.0 + 2.0 / math.pi * math.sqrt(1.0 - rho * rho)
+        est = sb.mc_max_sq("gaussian", 2, "correlated", 400_000, seed=5103, rho=rho)
+        assert abs(est.empirical - oracle) <= 4.0 * est.se, (rho, est)
+    est = sb.mc_max_sq("laplacian", 2, "correlated", 400_000, seed=5104)
+    assert abs(est.empirical - (1.0 + 2.0 / math.pi)) <= 4.0 * est.se, est
+
+
+@pytest.mark.parametrize("family", sb.FAMILIES)
+@pytest.mark.parametrize("cov", sb.COV_STRUCTURES)
+def test_mc_agrees_with_direct_reference_sampler(family, cov):
+    n = 100_000
+    for d in (1, 2, 8, 64):
+        est = sb.mc_max_sq(family, d, cov, n_samples=n, seed=5105)
+        m = sb._direct_max_sq(np.random.default_rng(5106), n, d, family, cov, 0.5, 1.0)
+        ref, ref_se = float(m.mean()), float(m.std(ddof=1)) / math.sqrt(n)
+        assert abs(est.empirical - ref) <= 4.0 * math.hypot(est.se, ref_se), (d, est, ref)
