@@ -10,8 +10,8 @@ Subcommands::
     bounds     max-statistic inequality table across families and dims
     grids      print quantizer grids and scale ranges
 
-Exit status: 0 success, 1 validation failure (including usage errors),
-2 numerical failure.
+Exit status: 0 success, 1 validation failure (including usage errors) or
+stdout closed early, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -349,7 +350,9 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -359,6 +362,13 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``wushkit bounds | head``); point stdout at
+        # the null device so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Dense helpers for small symmetric problems (block sizes up to a few hundred).
 
 Everything here works on plain float64 ndarrays and wraps ``numpy.linalg``
-(LAPACK).  The eigensolver adds the rules the transform construction relies
+(LAPACK).  ``cholesky`` and ``invert`` also take ``(..., d, d)`` stacks and
+apply their checks to each matrix of the stack; ``sym_eigen`` takes exactly
+one matrix.  The eigensolver adds the rules the transform construction relies
 on and LAPACK does not promise, as explicit code around ``eigh``:
 already-diagonal input passes through untouched (so isotropic moments reduce
 to the exact Hadamard transform), eigenvalues are sorted descending with a
@@ -18,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InvalidSpec,
     NaNInput,
     NoConvergence,
     NotPositiveDefinite,
@@ -39,46 +40,50 @@ class SymEigen(NamedTuple):
     eigenvalues: np.ndarray
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
+def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """``m`` as float64: one square matrix, or with ``stacked`` a
+    ``(..., d, d)`` stack of them; non-finite entries are refused."""
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"{name} must be square 2-D, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
+        want = "a (..., d, d) stack" if stacked else "square 2-D"
+        raise ShapeMismatch(f"{name} must be {want}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NaNInput(f"{name} contains non-finite values")
     return a
 
 
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    skew = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if skew > 1e-8 * scale:
+    """Each matrix's skew is judged against that matrix's own scale."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    skew = np.abs(a - np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(skew > 1e-8 * scale):
         raise NotSymmetric(
-            f"{name} is not symmetric (max |m - m^T| = {skew:.3e})"
+            f"{name} is not symmetric (max |m - m^T| = {float(skew.max()):.3e})"
         )
 
 
-def cholesky(m, damp: float = 0.0) -> np.ndarray:
-    """Lower-triangular L with ``L @ L.T == m + damp * mean(diag(m)) * I``.
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular ``L`` with ``L @ L.T == m``, for one matrix or each
+    matrix of a ``(..., d, d)`` stack.
 
-    ``damp`` is relative: the ridge added is scaled by the mean diagonal of
-    ``m``, so the same setting works across layers with wildly different
-    activation scales.  Raises :class:`NotPositiveDefinite` when a pivot
-    fails even after damping, which is the caller's cue to raise ``damp``.
+    The input is symmetrized first; the symmetry check bounds how far it may
+    be from symmetric.  Raises :class:`NotPositiveDefinite` when a pivot of
+    any matrix fails; moments are damped before they get here (see
+    ``transforms.second_moments``), so that is the caller's cue to raise
+    ``damp``.
     """
-    a = _as_square(m, "cholesky input")
+    a = _as_square(m, "cholesky input", stacked=True)
     _require_symmetric(a, "cholesky input")
-    if damp < 0.0:
-        raise InvalidSpec(f"damp must be >= 0, got {damp}")
-    a = 0.5 * (a + a.T)
-    if damp > 0.0 and a.shape[0] > 0:
-        ridge = damp * float(np.mean(np.diag(a)))
-        a = a + ridge * np.eye(a.shape[0])
+    a = 0.5 * (a + np.swapaxes(a, -1, -2))
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite at damp={damp}: {exc}"
-        ) from None
+        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from None
 
 
 def sym_eigen(m) -> SymEigen:
@@ -155,24 +160,23 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
 
 
 def invert(t) -> np.ndarray:
-    """Inverse of a general square matrix (LU with partial pivoting).
+    """Inverse of a general square matrix, or of each matrix of a
+    ``(..., d, d)`` stack (LU with partial pivoting).
 
-    Refuses matrices whose 1-norm condition estimate exceeds
-    ``MAX_CONDITION``; the transform pipeline treats that as a signal that
-    eigenvalue clamping upstream went wrong.
+    Refuses a matrix whose 1-norm condition estimate exceeds
+    ``MAX_CONDITION``, judged matrix by matrix; the transform pipeline treats
+    that as a signal that eigenvalue clamping upstream went wrong.
     """
-    a = _as_square(m=t, name="invert input")
+    a = _as_square(t, "invert input", stacked=True)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise Singular("matrix is singular") from None
     if not np.isfinite(inv).all():
         raise Singular("inverse overflowed; matrix is numerically singular")
-    norm1 = float(np.max(np.abs(a).sum(axis=0))) if a.size else 0.0
-    inv_norm1 = float(np.max(np.abs(inv).sum(axis=0))) if inv.size else 0.0
-    cond = norm1 * inv_norm1
-    if cond > MAX_CONDITION:
+    cond = _norm1(a) * _norm1(inv)
+    if np.any(cond > MAX_CONDITION):
         raise Singular(
-            f"condition estimate {cond:.3e} exceeds {MAX_CONDITION:.1e}"
+            f"condition estimate {float(np.max(cond)):.3e} exceeds {MAX_CONDITION:.1e}"
         )
     return inv

@@ -181,7 +181,7 @@ def one_sided_loss_mc(
     d = t_arr.shape[0]
     if t_arr.shape != (d, d):
         raise ShapeMismatch(f"transform must be square, got {t_arr.shape}")
-    chol = cholesky(moment, 0.0)
+    chol = cholesky(moment)
     t_inv = invert(t_arr)
     rng = np.random.default_rng(seed)
     total = 0.0

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
 from .linalg import random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
-from .transforms import DEFAULT_DAMP, LayerPlan, _as_2d, build_layer_plan
+from .transforms import DEFAULT_DAMP, LayerPlan, _as_finite, build_layer_plan
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
 
@@ -135,21 +135,31 @@ def _act_rng(plan: LayerPlan) -> Optional[np.random.Generator]:
     return np.random.default_rng(np.random.SeedSequence(entropy=(plan.seed, 0xAC)))
 
 
-def _factors(plan: LayerPlan, x_arr: np.ndarray, rng, w_arr=None):
+def _factors(plan: LayerPlan, x, w=None):
     """Stacked factors ``a`` (``n_blocks x 2d x d_out``, None without
     weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
-    quantizing activations block by block from the one stream ``rng``."""
+    quantizing activations block by block from the plan's one activation
+    stream.  The inputs must fit the plan; a loss needs one sample."""
+    x_arr = _as_finite(x, "activations")
     if x_arr.shape[0] != plan.d_in:
         raise ShapeMismatch(
             f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
         )
+    if w is not None:
+        w_arr = _as_finite(w, "weights")
+        if w_arr.shape != (plan.d_in, plan.d_out) or x_arr.shape[1] < 1:
+            raise ShapeMismatch(
+                f"plan wants weights {(plan.d_in, plan.d_out)} and at least one "
+                f"sample, got weights {w_arr.shape} and activations {x_arr.shape}"
+            )
     n, d = plan.n_blocks, plan.d
+    rng = _act_rng(plan)
     b = np.empty((n, 2 * d, x_arr.shape[1]))
     np.matmul(plan.t_act, x_arr.reshape(n, d, x_arr.shape[1]), out=b[:, d:])
     for i in range(n):
         b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
-    if w_arr is None:
+    if w is None:
         return None, b
     a = np.empty((n, 2 * d, plan.d_out))
     np.matmul(plan.t_weight, w_arr.reshape(n, d, plan.d_out), out=a[:, d:])
@@ -167,45 +177,25 @@ def _sq_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(err, err))
 
 
-def forward_quantized(
-    plan: LayerPlan, x, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
+def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
     """Quantized layer output ``sum_i w_hat_i^T q(t_act_i x_i)``.
 
-    For stochastic schemes the activation-rounding stream defaults to one
-    derived from the plan seed; pass ``rng`` to control it.
+    Stochastic schemes round activations from a stream derived from the plan
+    seed, the same one :func:`evaluate` uses.
     """
-    if rng is None:
-        rng = _act_rng(plan)
-    _, b = _factors(plan, _as_2d(x, "activations"), rng)
+    _, b = _factors(plan, x)
     q = b[:, : plan.d].reshape(plan.d_in, b.shape[-1])
     return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
-def layer_loss(
-    w,
-    x,
-    kind: str,
-    scheme: QuantScheme,
-    damp: float = DEFAULT_DAMP,
-    seed: int = 0,
-    plan: Optional[LayerPlan] = None,
-) -> LossReport:
-    """Build a plan (unless given) and measure its quantization loss.
+def evaluate(plan: LayerPlan, w, x) -> LossReport:
+    """Quantization loss of a built plan on the layer ``(w, x)``.
 
-    A given ``plan`` overrides ``kind``, ``scheme``, ``damp`` and ``seed``.
+    ``w`` must have the plan's ``(d_in, d_out)`` shape and ``x`` its
+    ``d_in`` rows and at least one sample.
     """
-    w_arr = _as_2d(w, "weights")
-    x_arr = _as_2d(x, "activations")
-    if plan is None:
-        plan = build_layer_plan(w_arr, x_arr, kind, scheme, damp, seed)
-    elif w_arr.shape != (plan.d_in, plan.d_out) or x_arr.shape[1] < 1:
-        raise ShapeMismatch(
-            f"plan wants weights {(plan.d_in, plan.d_out)} and at least one sample, "
-            f"got weights {w_arr.shape} and activations {x_arr.shape}"
-        )
-    norm = plan.d_out * x_arr.shape[1]
-    a, b = _factors(plan, x_arr, _act_rng(plan), w_arr)
+    a, b = _factors(plan, x, w)
+    norm = plan.d_out * b.shape[-1]
     raw = _sq_error(a, b)
     loss = raw / norm
     gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
@@ -215,6 +205,14 @@ def layer_loss(
         layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
         additivity_gap=_rel_gap(loss, sum(blocks)),
     )
+
+
+def layer_loss(
+    w, x, kind: str, scheme: QuantScheme, damp: float = DEFAULT_DAMP, seed: int = 0
+) -> LossReport:
+    """Build the ``(kind, scheme, damp, seed)`` plan for ``(w, x)`` and
+    :func:`evaluate` it."""
+    return evaluate(build_layer_plan(w, x, kind, scheme, damp, seed), w, x)
 
 
 def first_order_gap(
@@ -228,11 +226,9 @@ def first_order_gap(
     term gives the first-order decomposition the noise models analyze.
     Returns ``(loss, first_order_loss, relative_gap)``.
     """
-    w_arr = _as_2d(w, "weights")
-    x_arr = _as_2d(x, "activations")
-    plan = build_layer_plan(w_arr, x_arr, kind, scheme, damp, seed)
-    norm = plan.d_out * x_arr.shape[1]
-    a, b = _factors(plan, x_arr, _act_rng(plan), w_arr)
+    plan = build_layer_plan(w, x, kind, scheme, damp, seed)
+    a, b = _factors(plan, x, w)
+    norm = plan.d_out * b.shape[-1]
     loss = _sq_error(a, b) / norm
     b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
     fo = _sq_error(a, b) / norm

@@ -3,7 +3,7 @@
 Value formats
 -------------
 ``FpFormat`` describes a miniature float as (sign, exp_bits a, mant_bits b)
-with exponent bias ``2**(a-1) - 1`` unless overridden.  Code (e, m) maps to
+with exponent bias ``2**(a-1) - 1``.  Code (e, m) maps to
 
 * ``2**(1 - bias) * (m / 2**b)``        when subnormal (e == 0, subnormals on)
 * ``2**(e - bias) * (1 + m / 2**b)``    otherwise
@@ -71,7 +71,6 @@ class FpFormat:
     exp_bits: int
     mant_bits: int
     includes_subnormals: bool = True
-    bias_override: Optional[int] = None
     nan_codes: tuple = ()  # (exp_code, mant_code) pairs excluded from the grid
     name: str = ""
 
@@ -85,8 +84,6 @@ class FpFormat:
 
     @property
     def bias(self) -> int:
-        if self.bias_override is not None:
-            return self.bias_override
         return 2 ** (self.exp_bits - 1) - 1
 
     def __str__(self) -> str:

@@ -15,12 +15,17 @@ Note the deliberate crossing: the Cholesky factor of the *weight* moment
 lands in the transform applied to *activations*, and vice versa.  Dropping
 the leading Hadamard gives the ``wus`` variant; ``i``, ``h`` and ``r``
 (identity, Hadamard, Haar-random orthogonal) are the orthogonal baselines.
+
+Everything is built on ``(n_blocks, d, d)`` stacks: ``second_moments`` makes
+the moment blocks, ``build_block`` turns a whole stack into the
+``(t_act, t_weight)`` stacks in one call (a single block is a stack of one),
+and ``build_layer_plan`` adds the pre-quantized weights.  Only the
+eigendecomposition runs block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,21 +52,12 @@ class MomentPair:
 
 
 @dataclass(frozen=True)
-class BlockTransform:
-    """Transforms for one diagonal block."""
-
-    kind: str
-    t_act: np.ndarray
-    t_weight: np.ndarray
-    eigenvalues: Optional[np.ndarray] = None  # clamped, descending; wus/wush only
-
-
-@dataclass(frozen=True)
 class LayerPlan:
     """Everything needed to run the quantized forward pass of one layer.
 
     Block ``i`` of each stack acts on input rows ``i*d : (i+1)*d``; the sizes
-    are read from the stacks' shapes.
+    are read from the stacks' shapes.  Under ``i`` and ``h`` the transform
+    stacks are read-only views of one broadcast matrix.
     """
 
     kind: str
@@ -89,10 +85,10 @@ class LayerPlan:
         return self.w_hat.shape[2]
 
 
-def _as_2d(m, name: str) -> np.ndarray:
+def _as_finite(m, name: str, ndim: int = 2) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ShapeMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NaNInput(f"{name} contains non-finite values")
     return arr
@@ -107,8 +103,8 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     the full moment's diagonal, so a weak block in a strong layer is damped
     by the layer-wide scale.
     """
-    w_arr = _as_2d(w, "weights")
-    x_arr = _as_2d(x, "activations")
+    w_arr = _as_finite(w, "weights")
+    x_arr = _as_finite(x, "activations")
     if w_arr.shape[0] != x_arr.shape[0]:
         raise ShapeMismatch(
             f"weights and activations disagree on d_in: {w_arr.shape[0]} vs {x_arr.shape[0]}"
@@ -134,55 +130,58 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     return MomentPair(m_w=_moment(w_arr), m_x=_moment(x_arr))
 
 
-def _whitened_core(m_w_block: np.ndarray, m_x_block: np.ndarray):
-    """(core, eigenvalues): core = Lam^-1/4 U^T W'^T, Lam clamped."""
-    w_prime = cholesky(m_w_block, 0.0)
-    inner = w_prime.T @ m_x_block @ w_prime
-    inner = 0.5 * (inner + inner.T)
-    u, lam = sym_eigen(inner)
-    lam_max = float(lam[0])
-    if not lam_max > 0.0:
+def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
+    """(core, eigenvalues) stacks: core = Lam^-1/4 U^T W'^T per block, Lam
+    clamped and descending."""
+    w_prime = cholesky(m_w)
+    w_prime_t = w_prime.transpose(0, 2, 1)
+    inner = w_prime_t @ m_x @ w_prime
+    inner = 0.5 * (inner + inner.transpose(0, 2, 1))
+    eig = [sym_eigen(m) for m in inner]  # one LAPACK call per block
+    u = np.stack([e.eigenvectors for e in eig])
+    lam = np.stack([e.eigenvalues for e in eig])
+    lam_max = lam[:, :1]
+    if not np.all(lam_max > 0.0):
         raise NotPositiveDefinite(
             "whitened activation moment has no positive eigenvalue; raise damp"
         )
     lam_c = np.maximum(lam, EIGEN_CLAMP_REL * lam_max)
-    core = lam_c[:, None] ** -0.25 * (u.T @ w_prime.T)
+    core = lam_c[:, :, None] ** -0.25 * (u.transpose(0, 2, 1) @ w_prime_t)
     return core, lam_c
 
 
-def build_block(
-    kind: str, m_w_block, m_x_block, seed: int = 0
-) -> BlockTransform:
-    """Construct the transform pair for one diagonal moment block.
+def build_block(kind: str, m_w, m_x, seed: int = 0):
+    """Transform pairs ``(t_act, t_weight)`` for a ``(n_blocks, d, d)`` stack
+    of moment blocks, as two ``(n_blocks, d, d)`` stacks.
 
-    ``seed`` only matters for ``kind="r"``.  Orthogonal kinds reuse the same
-    matrix on both sides (the inverse transpose of an orthogonal matrix is
-    itself); the adaptive kinds invert numerically.
+    Orthogonal kinds use the same matrix on both sides (the inverse
+    transpose of an orthogonal matrix is itself): ``i`` and ``h`` broadcast
+    one read-only matrix over the stack, and ``r`` gives block ``i`` the
+    rotation seeded by child ``i`` of ``SeedSequence(seed)``; ``seed`` only
+    matters for ``r``.  The adaptive kinds invert numerically.
     """
     if kind not in TRANSFORM_KINDS:
         raise InvalidSpec(
             f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}"
         )
-    mw = _as_2d(m_w_block, "m_w_block")
-    mx = _as_2d(m_x_block, "m_x_block")
-    if mw.shape != mx.shape or mw.shape[0] != mw.shape[1]:
+    mw = _as_finite(m_w, "m_w", ndim=3)
+    mx = _as_finite(m_x, "m_x", ndim=3)
+    if mw.shape != mx.shape or mw.shape[1] != mw.shape[2] or mw.shape[0] < 1:
         raise ShapeMismatch(
-            f"moment blocks must be square and matching, got {mw.shape} and {mx.shape}"
+            f"moment stacks must be matching non-empty stacks of squares, "
+            f"got {mw.shape} and {mx.shape}"
         )
-    d = mw.shape[0]
-    if kind == "i":
-        eye = np.eye(d)
-        return BlockTransform(kind, eye, eye.copy())
-    if kind == "h":
-        h = hadamard(d)
-        return BlockTransform(kind, h, h.copy())
+    n_blocks, d = mw.shape[:2]
+    if kind in ("i", "h"):
+        t = np.broadcast_to(np.eye(d) if kind == "i" else hadamard(d), mw.shape)
+        return t, t
     if kind == "r":
-        q = random_rotation(d, seed)
-        return BlockTransform(kind, q, q.copy())
-    core, lam_c = _whitened_core(mw, mx)
+        children = np.random.SeedSequence(seed).spawn(n_blocks)
+        t = np.stack([random_rotation(d, int(c.generate_state(1)[0])) for c in children])
+        return t, t
+    core, _ = _whitened_core(mw, mx)
     t_act = hadamard(d) @ core if kind == "wush" else core
-    t_weight = invert(t_act).T
-    return BlockTransform(kind, t_act, t_weight, eigenvalues=lam_c)
+    return t_act, np.ascontiguousarray(invert(t_act).transpose(0, 2, 1))
 
 
 def build_layer_plan(
@@ -196,25 +195,16 @@ def build_layer_plan(
     """Moments, per-block transforms and pre-quantized weights for a layer.
 
     The transform block size equals the scheme's quantization group size;
-    ``d_in`` must be divisible by it.  Random-rotation blocks get distinct
-    seeds derived from ``seed`` and the block index.  Stochastic weight
-    rounding (if the scheme requests it) draws from a stream likewise
-    derived from ``seed``, block by block.
+    ``d_in`` must be divisible by it.  ``seed`` seeds the random-rotation
+    blocks (see :func:`build_block`) and, if the scheme requests stochastic
+    weight rounding, a stream derived from it, drawn block by block.
     """
-    w_arr = _as_2d(w, "weights")
-    x_arr = _as_2d(x, "activations")
+    w_arr = _as_finite(w, "weights")
+    x_arr = _as_finite(x, "activations")
     d = scheme.group_size
     moments = second_moments(w_arr, x_arr, d, damp)
-    n_blocks = moments.m_w.shape[0]
-    ss = np.random.SeedSequence(seed)
-    rot_seeds = [int(child.generate_state(1)[0]) for child in ss.spawn(n_blocks)]
-    blocks = [
-        build_block(kind, m_w, m_x, rot_seed)
-        for m_w, m_x, rot_seed in zip(moments.m_w, moments.m_x, rot_seeds)
-    ]
-    t_act = np.stack([bt.t_act for bt in blocks])
-    t_weight = np.stack([bt.t_weight for bt in blocks])
-    w_t = t_weight @ w_arr.reshape(n_blocks, d, w_arr.shape[1])
+    t_act, t_weight = build_block(kind, moments.m_w, moments.m_x, seed)
+    w_t = t_weight @ w_arr.reshape(t_act.shape[0], d, w_arr.shape[1])
     wq_rng = None
     if scheme.rounding == ROUND_STOCHASTIC:
         wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))

@@ -181,18 +181,18 @@ def test_transform_algebra_exact_invariants():
     b = rng.standard_normal((16, 64))
     mw, mx = (a @ a.T / 64, b @ b.T / 64)
     for kind in tf.TRANSFORM_KINDS:
-        bt = tf.build_block(kind, mw, mx, seed=1)
-        assert np.max(np.abs(bt.t_act @ bt.t_weight.T - np.eye(16))) <= 1e-8
+        t_act, t_weight = tf.build_block(kind, mw[None], mx[None], seed=1)
+        assert np.max(np.abs(t_act[0] @ t_weight[0].T - np.eye(16))) <= 1e-8
 
     # the Hadamard factor equalizes the transformed activation moment
-    bt = tf.build_block("wush", mw, mx)
-    diag = np.diag(bt.t_act @ mx @ bt.t_act.T)
+    t_act, _ = tf.build_block("wush", mw[None], mx[None])
+    diag = np.diag(t_act[0] @ mx @ t_act[0].T)
     assert np.max(np.abs(diag - diag.mean())) / diag.mean() <= 1e-8
 
     # isotropic input: the construction degenerates to the plain Hadamard
     for d in (8, 32):
-        bt = tf.build_block("wush", np.eye(d), np.eye(d))
-        assert np.max(np.abs(bt.t_act - hadamard(d))) <= 1e-12
+        t_act, _ = tf.build_block("wush", np.eye(d)[None], np.eye(d)[None])
+        assert np.max(np.abs(t_act[0] - hadamard(d))) <= 1e-12
 
     _passed(
         "transform algebra exact invariants",

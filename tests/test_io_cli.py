@@ -2,7 +2,12 @@
 
 import io
 import json
+import os
+import shlex
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,3 +460,59 @@ def test_cli_version():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_cli_stdout_closed_early_exits_1_without_traceback(unbuffered):
+    # the read end is closed before the program starts, so whichever write
+    # reaches the pipe first (a print, or the final flush) fails
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wushkit.cli", "bounds", "--samples", "200",
+             "--max-log2-d", "1"],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
+
+
+def _readme_examples():
+    """``(argv, expected lines, open-ended)`` for each ``$ wushkit`` block of
+    the README, in order; a ``...`` line ends what a block pins down."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in text.split("```")[1::2]:
+        lines = block.strip("\n").splitlines()
+        if not lines or not lines[0].startswith("$ wushkit "):
+            continue
+        command = lines[0][2:]
+        i = 1
+        while command.endswith("\\"):
+            command = command[:-1] + lines[i]
+            i += 1
+        shown = lines[i:]
+        open_ended = "..." in shown
+        if open_ended:
+            shown = shown[: shown.index("...")]
+        examples.append((shlex.split(command)[1:], shown, open_ended))
+    return examples
+
+
+def test_readme_cli_examples_match_real_output(tmp_path, monkeypatch, capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv in (e[0] for e in examples)] == [
+        "gen", "loss", "plan", "validate", "bounds", "grids"
+    ]
+    monkeypatch.chdir(tmp_path)  # gen writes the files the later examples read
+    for argv, shown, open_ended in examples:
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        got = out[: len(shown)] if open_ended else out
+        assert got == shown, " ".join(argv)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from wushkit import (
-    InvalidSpec,
     NaNInput,
     NoConvergence,
     NotPositiveDefinite,
     NotPowerOfTwo,
     NotSymmetric,
+    ShapeMismatch,
     Singular,
     cholesky,
     hadamard,
@@ -49,25 +49,30 @@ def test_cholesky_rejects_indefinite():
         cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_cholesky_damping_rescues_singular():
-    m = np.ones((4, 4))  # rank one
-    with pytest.raises(NotPositiveDefinite):
-        cholesky(m)
-    l = cholesky(m, damp=0.01)
-    # damping adds damp * mean(diag) to the diagonal
-    np.testing.assert_allclose(l @ l.T, m + 0.01 * np.eye(4), atol=1e-12)
-
-
-def test_cholesky_rejects_negative_damp():
-    with pytest.raises(InvalidSpec, match="damp"):
-        cholesky(np.eye(2), damp=-0.01)
-
-
 def test_cholesky_rejects_asymmetric_and_nan():
     with pytest.raises(NotSymmetric):
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NaNInput):
         cholesky(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _scaled_stack(d):
+    """Three well-conditioned matrices on scales 1e6, 1 and 1e-6, so that a
+    check using one norm for the whole stack misjudges the small ones."""
+    return np.stack([1e6 * _rand_spd(d, 1), _rand_spd(d, 2), 1e-6 * _rand_spd(d, 3)])
+
+
+def test_cholesky_stack_checks_each_matrix():
+    stack = _scaled_stack(4)
+    np.testing.assert_array_equal(cholesky(stack), np.stack([cholesky(m) for m in stack]))
+    indefinite = stack.copy()
+    indefinite[1] = np.ones((4, 4))  # only the middle matrix is singular
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(indefinite)
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-4  # asymmetric on its own scale, not on the stack's
+    with pytest.raises(NotSymmetric):
+        cholesky(skewed)
 
 
 # --------------------------------------------------------------- sym_eigen
@@ -192,3 +197,20 @@ def test_invert_rejects_singular_and_illconditioned():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(Singular):
         invert(np.diag([1.0, 1e-15]))
+
+
+def test_invert_stack_checks_each_matrix():
+    stack = _scaled_stack(4)
+    np.testing.assert_array_equal(invert(stack), np.stack([invert(m) for m in stack]))
+    bad = stack.copy()
+    bad[1] = np.diag([1.0, 1.0, 1.0, 1e-15])  # only the middle matrix is ill-conditioned
+    with pytest.raises(Singular):
+        invert(bad)
+
+
+def test_stacks_and_vectors_are_shape_checked():
+    with pytest.raises(ShapeMismatch):
+        sym_eigen(np.stack([np.eye(3), np.eye(3)]))
+    for f in (sym_eigen, cholesky, invert):
+        with pytest.raises(ShapeMismatch):
+            f(np.ones(3))

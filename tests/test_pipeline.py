@@ -197,27 +197,27 @@ def test_layer_loss_monotone_in_int_bits():
     assert medians[0] > 4.0 * medians[1] > 16.0 * medians[2]
 
 
-def test_layer_loss_accepts_prebuilt_plan():
+def test_evaluate_matches_layer_loss():
     w, x = pl.gen_synthetic(_spec())
     plan = build_layer_plan(w, x, "wus", int4_scheme(), damp=0.01, seed=2)
-    a = pl.layer_loss(w, x, "ignored", int4_scheme(), plan=plan)
+    a = pl.evaluate(plan, w, x)
     b = pl.layer_loss(w, x, "wus", int4_scheme(), seed=2)
     assert a.kind == "wus"
-    assert a.layer_loss == b.layer_loss
+    assert a == b
 
 
-def test_layer_loss_rejects_inputs_that_do_not_fit_the_plan():
+def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
     w, x = pl.gen_synthetic(_spec())
     plan = build_layer_plan(w, x, "wush", int4_scheme())
     w_wide, _ = pl.gen_synthetic(_spec(d_out=12))
     with pytest.raises(ShapeMismatch):
-        pl.layer_loss(w_wide, x, "wush", int4_scheme(), plan=plan)
+        pl.evaluate(plan, w_wide, x)
     # 96 rows split into whole blocks too, so only the plan can catch it
     w_tall, x_tall = pl.gen_synthetic(_spec(d_in=96))
     with pytest.raises(ShapeMismatch):
-        pl.layer_loss(w_tall, x_tall, "wush", int4_scheme(), plan=plan)
+        pl.evaluate(plan, w_tall, x_tall)
     with pytest.raises(ShapeMismatch):
-        pl.layer_loss(w, x[:, :0], "wush", int4_scheme(), plan=plan)
+        pl.evaluate(plan, w, x[:, :0])
 
 
 SCHEMES = {

@@ -1,11 +1,11 @@
-"""Moment construction and per-block transform algebra."""
+"""Moment construction and stacked block-transform algebra."""
 
 import numpy as np
 import pytest
 
 from wushkit import transforms as tf
 from wushkit.errors import InvalidSpec, NaNInput, NotPositiveDefinite, ShapeMismatch
-from wushkit.linalg import hadamard
+from wushkit.linalg import hadamard, random_rotation
 from wushkit.quantformats import mxfp4_scheme, nvfp4_scheme, quantize_matrix
 
 RNG = np.random.default_rng
@@ -88,78 +88,84 @@ def test_second_moments_validation():
 
 
 # ---------------------------------------------------------------------------
-# single-block construction
+# single-block construction (a stack of one)
+
+
+def _one_block(kind, mw, mx, seed=0):
+    """``(t_act, t_weight)`` of ``build_block`` on a one-block stack."""
+    t_act, t_weight = tf.build_block(kind, mw[None], mx[None], seed=seed)
+    assert t_act.shape == t_weight.shape == (1,) + mw.shape
+    return t_act[0], t_weight[0]
+
+
+def _eigenvalues(mw, mx):
+    """Clamped whitened eigenvalues of one block."""
+    return tf._whitened_core(mw[None], mx[None])[1][0]
 
 
 def test_isotropic_block_reduces_to_hadamard():
     # with both moments equal to I the whitening is trivial and the adaptive
     # transform collapses onto the plain Hadamard
-    bt = tf.build_block("wush", np.eye(8), np.eye(8))
-    np.testing.assert_array_equal(bt.t_act, hadamard(8))
-    np.testing.assert_allclose(bt.t_weight, hadamard(8), atol=1e-12)
-    np.testing.assert_array_equal(bt.eigenvalues, np.ones(8))
+    t_act, t_weight = _one_block("wush", np.eye(8), np.eye(8))
+    np.testing.assert_array_equal(t_act, hadamard(8))
+    np.testing.assert_allclose(t_weight, hadamard(8), atol=1e-12)
+    np.testing.assert_array_equal(_eigenvalues(np.eye(8), np.eye(8)), np.ones(8))
 
 
 @pytest.mark.parametrize("kind", tf.TRANSFORM_KINDS)
 def test_transform_pairing_inverse_transpose(kind):
     mw, mx = _spd_pair(16, seed=3)
-    bt = tf.build_block(kind, mw, mx, seed=5)
+    t_act, t_weight = _one_block(kind, mw, mx, seed=5)
     d = 16
-    np.testing.assert_allclose(bt.t_act @ bt.t_weight.T, np.eye(d), atol=1e-12)
+    np.testing.assert_allclose(t_act @ t_weight.T, np.eye(d), atol=1e-12)
     # and the exact-arithmetic identity it encodes: (Tw w)^T (Ta x) == w^T x
     w = RNG(1).standard_normal((d, 3))
     x = RNG(2).standard_normal((d, 7))
-    np.testing.assert_allclose(
-        (bt.t_weight @ w).T @ (bt.t_act @ x), w.T @ x, atol=1e-10
-    )
+    np.testing.assert_allclose((t_weight @ w).T @ (t_act @ x), w.T @ x, atol=1e-10)
 
 
 def test_orthogonal_kinds_share_both_sides():
     mw, mx = _spd_pair(8, seed=4)
     for kind in ("i", "h", "r"):
-        bt = tf.build_block(kind, mw, mx, seed=9)
-        np.testing.assert_array_equal(bt.t_act, bt.t_weight)
-        assert bt.eigenvalues is None
-        np.testing.assert_allclose(bt.t_act @ bt.t_act.T, np.eye(8), atol=1e-12)
+        t_act, t_weight = _one_block(kind, mw, mx, seed=9)
+        np.testing.assert_array_equal(t_act, t_weight)
+        np.testing.assert_allclose(t_act @ t_act.T, np.eye(8), atol=1e-12)
     assert not np.array_equal(
-        tf.build_block("r", mw, mx, seed=1).t_act,
-        tf.build_block("r", mw, mx, seed=2).t_act,
+        _one_block("r", mw, mx, seed=1)[0], _one_block("r", mw, mx, seed=2)[0]
     )
 
 
 def test_hadamard_variant_is_rotated_whitening():
     mw, mx = _spd_pair(16, seed=6)
-    wus = tf.build_block("wus", mw, mx)
-    wush = tf.build_block("wush", mw, mx)
-    np.testing.assert_array_equal(wush.t_act, hadamard(16) @ wus.t_act)
-    np.testing.assert_array_equal(wus.eigenvalues, wush.eigenvalues)
+    wus, _ = _one_block("wus", mw, mx)
+    wush, _ = _one_block("wush", mw, mx)
+    np.testing.assert_array_equal(wush, hadamard(16) @ wus)
+    # the wus transform is the whitened core itself
+    np.testing.assert_array_equal(wus, tf._whitened_core(mw[None], mx[None])[0][0])
 
 
 def test_whitening_equalizes_both_transformed_moments():
     mw, mx = _spd_pair(16, seed=7)
-    bt = tf.build_block("wus", mw, mx)
-    root = np.sqrt(bt.eigenvalues)
+    t_act, t_weight = _one_block("wus", mw, mx)
+    root = np.sqrt(_eigenvalues(mw, mx))
     # activation side: T_a M_X T_a^T = Lam^1/2 ...
-    np.testing.assert_allclose(bt.t_act @ mx @ bt.t_act.T, np.diag(root), atol=1e-8)
+    np.testing.assert_allclose(t_act @ mx @ t_act.T, np.diag(root), atol=1e-8)
     # ... and the weight side lands on the same diagonal
-    np.testing.assert_allclose(
-        bt.t_weight @ mw @ bt.t_weight.T, np.diag(root), atol=1e-8
-    )
+    np.testing.assert_allclose(t_weight @ mw @ t_weight.T, np.diag(root), atol=1e-8)
 
 
 def test_hadamard_variant_flattens_diagonal_preserving_trace():
     mw, mx = _spd_pair(16, seed=8)
-    bt = tf.build_block("wush", mw, mx)
-    out = bt.t_act @ mx @ bt.t_act.T
-    root = np.sqrt(bt.eigenvalues)
+    t_act, _ = _one_block("wush", mw, mx)
+    out = t_act @ mx @ t_act.T
+    root = np.sqrt(_eigenvalues(mw, mx))
     np.testing.assert_allclose(np.diag(out), np.full(16, root.mean()), atol=1e-8)
     assert np.isclose(np.trace(out), root.sum(), rtol=1e-10)
 
 
 def test_eigenvalues_descending_and_clamped():
     mw, mx = _spd_pair(32, seed=9)
-    bt = tf.build_block("wus", mw, mx)
-    lam = bt.eigenvalues
+    lam = _eigenvalues(mw, mx)
     assert np.all(np.diff(lam) <= 0)
     assert lam[-1] >= tf.EIGEN_CLAMP_REL * lam[0] - 1e-30
 
@@ -169,18 +175,64 @@ def test_rank_deficient_block_survives_via_clamp():
     v = np.arange(1.0, 9.0)[:, None]
     mx = v @ v.T
     mw = np.eye(8)
-    bt = tf.build_block("wus", mw, mx)
-    assert np.isfinite(bt.t_act).all()
-    assert bt.eigenvalues[-1] == tf.EIGEN_CLAMP_REL * bt.eigenvalues[0]
+    t_act, _ = _one_block("wus", mw, mx)
+    assert np.isfinite(t_act).all()
+    lam = _eigenvalues(mw, mx)
+    assert lam[-1] == tf.EIGEN_CLAMP_REL * lam[0]
 
 
 def test_build_block_validation():
     with pytest.raises(InvalidSpec, match="unknown transform kind"):
-        tf.build_block("x", np.eye(2), np.eye(2))
+        tf.build_block("x", np.eye(2)[None], np.eye(2)[None])
     with pytest.raises(ShapeMismatch):
-        tf.build_block("wus", np.eye(2), np.eye(3))
+        tf.build_block("wus", np.eye(2)[None], np.eye(3)[None])
+    with pytest.raises(ShapeMismatch):  # one block must still be a stack
+        tf.build_block("wus", np.eye(2), np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        tf.build_block("i", np.ones((1, 2, 3)), np.ones((1, 2, 3)))
+    with pytest.raises(ShapeMismatch):
+        tf.build_block("h", np.empty((0, 2, 2)), np.empty((0, 2, 2)))
+    with pytest.raises(NaNInput):
+        tf.build_block("h", np.full((1, 2, 2), np.nan), np.eye(2)[None])
     with pytest.raises(NotPositiveDefinite):
-        tf.build_block("wus", np.zeros((4, 4)), np.eye(4))
+        tf.build_block("wus", np.zeros((1, 4, 4)), np.eye(4)[None])
+
+
+# ---------------------------------------------------------------------------
+# stacked construction
+
+
+def _spd_stack(d, n, seed):
+    pairs = [_spd_pair(d, seed + i) for i in range(n)]
+    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+
+
+@pytest.mark.parametrize("d", [16, 32])
+@pytest.mark.parametrize("kind", [k for k in tf.TRANSFORM_KINDS if k != "r"])
+def test_stack_equals_its_one_block_slices(kind, d):
+    mw, mx = _spd_stack(d, 3, seed=20)
+    t_act, t_weight = tf.build_block(kind, mw, mx)
+    assert t_act.shape == t_weight.shape == (3, d, d)
+    for i in range(3):
+        a_i, w_i = tf.build_block(kind, mw[i : i + 1], mx[i : i + 1])
+        np.testing.assert_array_equal(t_act[i], a_i[0])
+        np.testing.assert_array_equal(t_weight[i], w_i[0])
+
+
+def test_stack_rotations_follow_seed_children():
+    mw, mx = _spd_stack(8, 3, seed=30)
+    t_act, t_weight = tf.build_block("r", mw, mx, seed=11)
+    np.testing.assert_array_equal(t_act, t_weight)
+    for i, child in enumerate(np.random.SeedSequence(11).spawn(3)):
+        expected = random_rotation(8, int(child.generate_state(1)[0]))
+        np.testing.assert_array_equal(t_act[i], expected)
+
+
+def test_stack_fails_on_one_bad_block():
+    mw, mx = _spd_stack(8, 3, seed=40)
+    mw[1] = 0.0  # only the middle weight moment is singular
+    with pytest.raises(NotPositiveDefinite):
+        tf.build_block("wush", mw, mx)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +249,8 @@ def test_plan_block_layout():
     # stack entry i is the block built from moment block i
     pair = tf.second_moments(w, x, 16)
     for i in range(3):
-        direct = tf.build_block("wush", pair.m_w[i], pair.m_x[i])
-        np.testing.assert_array_equal(plan.t_act[i], direct.t_act)
+        direct, _ = _one_block("wush", pair.m_w[i], pair.m_x[i])
+        np.testing.assert_array_equal(plan.t_act[i], direct)
 
 
 def test_plan_matches_single_block_construction():
@@ -206,11 +258,9 @@ def test_plan_matches_single_block_construction():
     scheme = nvfp4_scheme()
     plan = tf.build_layer_plan(w, x, "wus", scheme, damp=0.02)
     pair = tf.second_moments(w, x, 16, damp=0.02)
-    direct = tf.build_block("wus", pair.m_w[0], pair.m_x[0])
-    np.testing.assert_array_equal(plan.t_act[0], direct.t_act)
-    np.testing.assert_array_equal(
-        plan.w_hat[0], quantize_matrix(direct.t_weight @ w, scheme)
-    )
+    t_act, t_weight = _one_block("wus", pair.m_w[0], pair.m_x[0])
+    np.testing.assert_array_equal(plan.t_act[0], t_act)
+    np.testing.assert_array_equal(plan.w_hat[0], quantize_matrix(t_weight @ w, scheme))
 
 
 def test_plan_rotation_seeding():
@@ -219,13 +269,10 @@ def test_plan_rotation_seeding():
     plan = tf.build_layer_plan(w, x, "r", scheme, seed=7)
     assert not np.array_equal(plan.t_act[0], plan.t_act[1])
     # block i's rotation is seeded from child i of the plan seed
-    pair = tf.second_moments(w, x, 32)
     children = np.random.SeedSequence(7).spawn(2)
     for i, child in enumerate(children):
-        direct = tf.build_block(
-            "r", pair.m_w[i], pair.m_x[i], seed=int(child.generate_state(1)[0])
-        )
-        np.testing.assert_array_equal(plan.t_act[i], direct.t_act)
+        direct = random_rotation(32, int(child.generate_state(1)[0]))
+        np.testing.assert_array_equal(plan.t_act[i], direct)
 
 
 def test_plan_deterministic():
