@@ -135,28 +135,15 @@ def hadamard(d: int) -> np.ndarray:
 def random_rotation(d: int, seed: int) -> np.ndarray:
     """Haar-distributed orthogonal matrix, a pure function of ``(d, seed)``.
 
-    Fills a square with seeded standard Gaussians and orthonormalizes the
-    columns by modified Gram-Schmidt with one re-orthogonalization pass.
-    The implicit R factor has positive diagonal by construction, which is
-    exactly the sign convention that makes the Q factor Haar-distributed,
-    so no sign fix-up is needed afterwards.
+    QR-factorizes a square of seeded standard Gaussians (LAPACK Householder)
+    and flips each column of Q to make R's diagonal positive.  Without that
+    sign fix the Householder signs leak into Q and it is not Haar (Mezzadri,
+    arXiv:math-ph/0609050).
     """
     if d < 1:
         raise ShapeMismatch(f"rotation size must be >= 1, got {d}")
-    rng = np.random.default_rng(seed)
-    q = np.empty((d, d))
-    for j in range(d):
-        v = rng.standard_normal(d)
-        while True:
-            for _ in range(2):
-                if j:
-                    v = v - q[:, :j] @ (q[:, :j].T @ v)
-            n = float(np.linalg.norm(v))
-            if n > 1e-12:
-                break
-            v = rng.standard_normal(d)  # essentially dependent draw; retry
-        q[:, j] = v / n
-    return q
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
 
 
 def invert(t) -> np.ndarray:

@@ -107,10 +107,11 @@ def gen_synthetic(spec: SyntheticSpec):
     x = q_x @ (root[:, None] * z_x)
     w = q_w @ (root[:, None] * z_w)
     if spec.outlier_count:
-        out_rng = np.random.default_rng(kids[4])
-        for j in range(spec.d_batch):
-            rows = out_rng.choice(spec.d_in, size=spec.outlier_count, replace=False)
-            x[rows, j] *= spec.outlier_magnitude
+        # the rows of each column's k smallest uniforms: a uniform k-subset
+        u = np.random.default_rng(kids[4]).random((spec.d_in, spec.d_batch))
+        k = spec.outlier_count
+        rows = np.argpartition(u, k - 1, axis=0)[:k]
+        x[rows, np.arange(spec.d_batch)] *= spec.outlier_magnitude
     return w, x
 
 

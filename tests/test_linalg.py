@@ -178,6 +178,14 @@ def test_random_rotation_is_orthogonal(d):
     assert min(dets) < 0.0 < max(dets)
 
 
+def test_random_rotation_entries_have_haar_moments():
+    # Haar entries have mean 0 and variance 1/d; without the sign fix of the
+    # QR factor, the Householder convention pins q[0, 0] to one sign
+    q = np.stack([random_rotation(4, seed=s) for s in range(2000)])
+    assert np.max(np.abs(q.mean(axis=0))) < 0.06  # 5 SE
+    np.testing.assert_allclose((q ** 2).mean(axis=0), 0.25, atol=0.03)
+
+
 def test_random_rotation_seeding():
     a = random_rotation(16, seed=1)
     np.testing.assert_array_equal(a, random_rotation(16, seed=1))
