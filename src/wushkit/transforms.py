@@ -20,7 +20,7 @@ Everything is built on ``(n_blocks, d, d)`` stacks: ``second_moments`` makes
 the moment blocks, ``build_block`` turns a whole stack into the
 ``(t_act, t_weight)`` stacks in one call (a single block is a stack of one),
 and ``build_layer_plan`` adds the pre-quantized weights.  Only the
-eigendecomposition runs block by block.
+eigendecompositions and the weight quantization run block by block.
 """
 
 from __future__ import annotations

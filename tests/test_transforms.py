@@ -219,15 +219,6 @@ def test_stack_equals_its_one_block_slices(kind, d):
         np.testing.assert_array_equal(t_weight[i], w_i[0])
 
 
-def test_stack_rotations_follow_seed_children():
-    mw, mx = _spd_stack(8, 3, seed=30)
-    t_act, t_weight = tf.build_block("r", mw, mx, seed=11)
-    np.testing.assert_array_equal(t_act, t_weight)
-    for i, child in enumerate(np.random.SeedSequence(11).spawn(3)):
-        expected = random_rotation(8, int(child.generate_state(1)[0]))
-        np.testing.assert_array_equal(t_act[i], expected)
-
-
 def test_stack_fails_on_one_bad_block():
     mw, mx = _spd_stack(8, 3, seed=40)
     mw[1] = 0.0  # only the middle weight moment is singular
