@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -114,8 +115,8 @@ class ExperimentConfig:
             raise InvalidSpec("schemes: list is empty")
         if not self.seeds:
             raise InvalidSpec("seeds: list is empty")
-        if self.damp < 0:
-            raise InvalidSpec(f"damp: must be nonnegative, got {self.damp}")
+        if not 0 <= self.damp < math.inf:
+            raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
         if self.group_size is not None and self.group_size not in VALID_GROUP_SIZES:
             raise InvalidSpec(
                 f"group_size: must be one of {VALID_GROUP_SIZES}, "

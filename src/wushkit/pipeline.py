@@ -16,8 +16,10 @@ Losses are evaluated in factored form from one pass over the blocks.  With
 ``w~_i = t_weight_i w_i``, ``x~_i = t_act_i x_i`` and ``q_i = q(x~_i)``, block
 ``i``'s error ``w_hat_i^T q_i - w~_i^T x~_i`` is ``a_i^T b_i`` with
 ``a_i = [w_hat_i - w~_i ; w~_i]`` and ``b_i = [q_i ; q_i - x~_i]``, a sum of
-error-sized terms.  The layer error is one product over the ``2 d_in``
-stacked rows, the only ``d_out x d_batch`` array made; block losses are
+error-sized terms.  With ``A``, ``B`` the ``k = 2 d_in`` stacked rows, the
+squared layer error is ``<A A^T, B B^T>_F`` from two ``k x k`` Grams when
+``k (d_out + d_batch) <= d_out d_batch``, else ``|A^T B|_F^2`` from one
+product, the only ``d_out x d_batch`` array made; block losses are
 ``<a_i a_i^T, b_i b_i^T>_F`` from ``2d x 2d`` Gram matrices.
 """
 
@@ -58,12 +60,12 @@ class SyntheticSpec:
             raise InvalidSpec("synthetic dims must all be >= 1")
         if self.tail not in SYNTH_TAILS:
             raise InvalidSpec(f"tail must be one of {SYNTH_TAILS}, got {self.tail!r}")
-        if self.tail == "student_t" and not self.tail_dof > 2.0:
-            raise InvalidSpec("student_t tail needs dof > 2 for finite variance")
+        if self.tail == "student_t" and not 2.0 < self.tail_dof < math.inf:
+            raise InvalidSpec("student_t tail needs a finite tail_dof > 2 for finite variance")
         if not 0 <= self.outlier_count <= self.d_in:
             raise InvalidSpec("outlier_count must be in [0, d_in]")
-        if self.outlier_count and self.outlier_magnitude <= 0.0:
-            raise InvalidSpec("outlier_magnitude must be positive")
+        if self.outlier_count and not 0.0 < self.outlier_magnitude < math.inf:
+            raise InvalidSpec("outlier_magnitude must be positive and finite")
 
     def eigenvalues(self) -> np.ndarray:
         if self.spectrum_values is not None:
@@ -173,8 +175,14 @@ def _rel_gap(total: float, approx: float) -> float:
 
 
 def _sq_error(a: np.ndarray, b: np.ndarray) -> float:
-    """``|sum_i a_i^T b_i|_F^2`` through one product over the stacked rows."""
-    err = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    """``|A^T B|_F^2`` of the ``k x m``, ``k x n`` stacked factors; from the
+    Grams when their ``k^2 (m + n) / 2`` multiply-adds are at most half the
+    product's ``k m n``, a margin because BLAS runs them slower per flop."""
+    a2, b2 = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+    (k, m), n = a2.shape, b2.shape[1]
+    if k * (m + n) <= m * n:
+        return float(np.vdot(a2 @ a2.T, b2 @ b2.T))
+    err = a2.T @ b2
     return float(np.vdot(err, err))
 
 

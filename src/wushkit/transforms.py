@@ -111,8 +111,8 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
         )
     if w_arr.shape[1] < 1 or x_arr.shape[1] < 1:
         raise ShapeMismatch("need at least one weight column and one sample")
-    if damp < 0.0:
-        raise InvalidSpec(f"damp must be >= 0, got {damp}")
+    if not 0.0 <= damp < np.inf:
+        raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
     d_in = w_arr.shape[0]
     if d < 1 or d_in % d != 0:
         raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")

@@ -183,8 +183,9 @@ def test_config_synthetic_seed_rejected():
 def test_config_type_errors():
     with pytest.raises(InvalidSpec, match="seeds\\[1\\]"):
         parse_config(_doc(seeds=[0, "one"]))
-    with pytest.raises(InvalidSpec, match="damp"):
-        parse_config(_doc(damp=True))
+    for damp in (True, -0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="damp"):
+            parse_config(_doc(damp=damp))
     with pytest.raises(InvalidSpec, match="transforms"):
         parse_config(_doc(transforms="wush"))
     with pytest.raises(InvalidSpec, match="unknown kind"):
@@ -440,6 +441,28 @@ def test_cli_validation_failure_exit_1(tmp_path, capsys):
     for spread in ("nan", "inf"):
         assert cli.main(["validate", "fp", "--d", "4", "--spread", spread]) == 1
         assert "spread must be finite" in capsys.readouterr().err
+    w_path, x_path = _tensors(tmp_path)
+    capsys.readouterr()
+    for kind in ("h", "wush"):
+        for damp in ("nan", "inf", "-1"):
+            rc = cli.main(
+                ["loss", "--weights", w_path, "--activations", x_path,
+                 "--kind", kind, "--scheme", "int4", "--damp", damp]
+            )
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert "damp" in captured.err and captured.out == ""
+    for flag, value in (("--tail-dof", "inf"), ("--tail-dof", "nan"),
+                        ("--outlier-magnitude", "nan"), ("--outlier-magnitude", "inf")):
+        bad_w, bad_x = tmp_path / "bad_w.wten", tmp_path / "bad_x.wten"
+        rc = cli.main(
+            ["gen", "--d-in", "8", "--d-out", "4", "--d-batch", "8",
+             "--outlier-count", "1", flag, value,
+             "--weights", str(bad_w), "--activations", str(bad_x)]
+        )
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not bad_w.exists() and not bad_x.exists()
 
 
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Synthetic layers, the quantized forward pass, losses and sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,14 @@ def test_synthetic_spec_validation():
         _spec(d_in=0)
     with pytest.raises(InvalidSpec):
         _spec(tail="cauchy")
-    with pytest.raises(InvalidSpec):
-        _spec(tail="student_t", tail_dof=2.0)
+    for dof in (2.0, np.inf, np.nan):
+        with pytest.raises(InvalidSpec, match="dof"):
+            _spec(tail="student_t", tail_dof=dof)
     with pytest.raises(InvalidSpec):
         _spec(outlier_count=65)
-    with pytest.raises(InvalidSpec):
-        _spec(outlier_count=1, outlier_magnitude=0.0)
+    for magnitude in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidSpec, match="outlier_magnitude"):
+            _spec(outlier_count=1, outlier_magnitude=magnitude)
     with pytest.raises(InvalidCovariance):
         pl.gen_synthetic(_spec(spectrum_values=(1.0, 2.0)))
     with pytest.raises(InvalidCovariance):
@@ -228,16 +232,31 @@ SCHEMES = {
 }
 
 
-@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
-@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
-def test_losses_match_dense_reference(kind, scheme_name):
+# (d_in, d_out, d_batch) of two 2-block layers: _sq_error takes the error
+# product on the first and the Gram form on the second
+DENSE_SHAPES = {"": (64, 8, 256), "-gram": (64, 256, 512)}
+
+
+@pytest.mark.parametrize(
+    "kind, scheme_name, dims",
+    [
+        pytest.param(kind, name, dims, id=f"{kind}-{name}{tag}")
+        for tag, dims in DENSE_SHAPES.items()
+        for kind in TRANSFORM_KINDS
+        for name in sorted(SCHEMES)
+    ],
+)
+def test_losses_match_dense_reference(kind, scheme_name, dims):
     scheme = SCHEMES[scheme_name]
-    w, x = pl.gen_synthetic(_spec(outlier_count=2, outlier_magnitude=10.0))
+    d_in, d_out, d_batch = dims
+    w, x = pl.gen_synthetic(
+        _spec(d_in=d_in, d_out=d_out, d_batch=d_batch, outlier_count=2, outlier_magnitude=10.0)
+    )
     plan = build_layer_plan(w, x, kind, scheme, seed=4)
     # direct evaluation: sum_i w_hat_i^T q_i - W^T X, same rounding stream
     rng = pl._act_rng(plan)
-    approx = np.zeros((8, 256))
-    first = np.zeros((8, 256))
+    approx = np.zeros((d_out, d_batch))
+    first = np.zeros((d_out, d_batch))
     block_raw = []
     for i in range(plan.n_blocks):
         sl = slice(i * plan.d, (i + 1) * plan.d)
@@ -249,7 +268,7 @@ def test_losses_match_dense_reference(kind, scheme_name):
         first += (plan.w_hat[i] - w_t).T @ x_t + w_t.T @ (q - x_t)
         block_raw.append(np.sum((contrib - w[sl].T @ x[sl]) ** 2))
     raw = np.sum((approx - w.T @ x) ** 2)
-    norm = 8 * 256
+    norm = d_out * d_batch
 
     rep = pl.layer_loss(w, x, kind, scheme, seed=4)
     assert rep.layer_loss_raw == pytest.approx(raw, rel=1e-10)
@@ -261,6 +280,40 @@ def test_losses_match_dense_reference(kind, scheme_name):
     np.testing.assert_allclose(
         pl.forward_quantized(plan, x), approx, rtol=1e-10, atol=1e-10 * np.abs(approx).max()
     )
+
+
+@pytest.mark.parametrize(
+    "n_blocks, m, n",
+    [
+        (2, 128, 128),  # k (m + n) == m n: Gram form
+        (2, 128, 129),  # just below: Gram form
+        (2, 128, 127),  # just above: error product
+        (3, 1, 200),
+        (3, 200, 1),
+    ],
+)
+def test_sq_error_matches_error_product(n_blocks, m, n):
+    # k = 2 d n_blocks = 64 stacked rows; distinct blocks couple through the
+    # cross-block entries of the Grams
+    rng = np.random.default_rng(17)
+    d = 32 // n_blocks
+    a = rng.standard_normal((n_blocks, 2 * d, m))
+    b = rng.standard_normal((n_blocks, 2 * d, n))
+    a2, b2 = a.reshape(-1, m), b.reshape(-1, n)
+    assert pl._sq_error(a, b) == pytest.approx(np.sum((a2.T @ b2) ** 2), rel=1e-12)
+
+
+def test_sq_error_gram_side_makes_no_error_array():
+    rng = np.random.default_rng(18)
+    a = rng.standard_normal((2, 32, 1024))
+    b = rng.standard_normal((2, 32, 1024))
+    tracemalloc.start()
+    try:
+        pl._sq_error(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8 / 4  # the error array would take 8 MiB
 
 
 def test_layer_loss_stochastic_reproducible():

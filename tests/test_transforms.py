@@ -81,8 +81,9 @@ def test_second_moments_validation():
         tf.second_moments(np.ones(3), np.ones((3, 2)), 1)
     with pytest.raises(ShapeMismatch, match="not divisible"):
         tf.second_moments(np.ones((6, 2)), np.ones((6, 2)), 4)
-    with pytest.raises(InvalidSpec):
-        tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), 2, damp=-0.5)
+    for damp in (-0.5, np.nan, np.inf):
+        with pytest.raises(InvalidSpec, match="damp"):
+            tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), 2, damp=damp)
     with pytest.raises(NaNInput):
         tf.second_moments(np.array([[np.nan, 1.0]]).T, np.ones((2, 2)), 2)
 
