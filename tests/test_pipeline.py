@@ -286,15 +286,15 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
     "n_blocks, m, n",
     [
         (2, 128, 128),  # k (m + n) == m n: Gram form
-        (2, 128, 129),  # just below: Gram form
-        (2, 128, 127),  # just above: error product
+        (2, 128, 129),  # k (m + n) just below m n: Gram form
+        (2, 128, 127),  # k (m + n) just above m n: error product
         (3, 1, 200),
         (3, 200, 1),
     ],
 )
 def test_sq_error_matches_error_product(n_blocks, m, n):
-    # k = 2 d n_blocks = 64 stacked rows; distinct blocks couple through the
-    # cross-block entries of the Grams
+    # k = 2 d n_blocks stacked rows (64 at two blocks); distinct blocks
+    # couple through the cross-block entries of the Grams
     rng = np.random.default_rng(17)
     d = 32 // n_blocks
     a = rng.standard_normal((n_blocks, 2 * d, m))
