@@ -38,14 +38,13 @@ from .noise import (
     one_sided_loss_mc,
     random_spd_moment,
 )
-from .pipeline import SyntheticSpec, gen_synthetic, layer_loss, sweep
+from .pipeline import SYNTH_TAILS, SyntheticSpec, gen_synthetic, layer_loss, sweep
 from .quantformats import (
     E2M1,
     E4M3,
     E8M0,
-    ROUND_NEAREST_EVEN,
-    ROUND_STOCHASTIC,
     PRESET_NAMES,
+    ROUNDING_NAMES,
     FpFormat,
     IntSpec,
     enumerate_grid,
@@ -53,7 +52,7 @@ from .quantformats import (
 )
 from .stats_bounds import mc_max_sq
 from .tensorio import read_tensor, write_tensor
-from .transforms import TRANSFORM_KINDS
+from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
 
 class _UsageError(Exception):
@@ -75,16 +74,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _add_cell_args(p, with_rounding=True):
+def _add_cell_args(p):
     p.add_argument("--kind", required=True, choices=TRANSFORM_KINDS)
     p.add_argument("--scheme", required=True, choices=PRESET_NAMES)
-    p.add_argument("--damp", type=float, default=0.01)
+    p.add_argument("--damp", type=float, default=DEFAULT_DAMP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--group-size", type=int, default=None)
-    if with_rounding:
-        p.add_argument(
-            "--rounding", choices=("nearest", "stochastic"), default="nearest"
-        )
+    p.add_argument("--rounding", choices=tuple(ROUNDING_NAMES), default="nearest")
 
 
 def build_parser() -> _Parser:
@@ -92,24 +88,26 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"wushkit {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("gen", help="synthetic tensors to WTEN files")
+    # An option left out is absent from the namespace, so SyntheticSpec
+    # applies its own default.
+    p = sub.add_parser("gen", help="synthetic tensors to WTEN files",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--d-in", type=int, required=True)
     p.add_argument("--d-out", type=int, required=True)
     p.add_argument("--d-batch", type=int, required=True)
-    p.add_argument("--spectrum-power", type=float, default=1.0)
-    p.add_argument("--tail", choices=("gaussian", "laplacian", "student_t"),
-                   default="student_t")
-    p.add_argument("--tail-dof", type=float, default=4.0)
-    p.add_argument("--outlier-count", type=int, default=0)
-    p.add_argument("--outlier-magnitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--spectrum-power", type=float)
+    p.add_argument("--tail", choices=SYNTH_TAILS)
+    p.add_argument("--tail-dof", type=float)
+    p.add_argument("--outlier-count", type=int)
+    p.add_argument("--outlier-magnitude", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--weights", required=True, metavar="OUT.wten")
     p.add_argument("--activations", required=True, metavar="OUT.wten")
 
     p = sub.add_parser("plan", help="persist block transforms + prequantized weights")
     p.add_argument("--weights", required=True)
     p.add_argument("--activations", required=True)
-    _add_cell_args(p, with_rounding=True)
+    _add_cell_args(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("loss", help="loss report for one cell")
@@ -142,29 +140,12 @@ def build_parser() -> _Parser:
 
 
 def _scheme_from_args(args):
-    scheme = scheme_by_name(args.scheme)
-    repl = {
-        "rounding": ROUND_STOCHASTIC
-        if getattr(args, "rounding", "nearest") == "stochastic"
-        else ROUND_NEAREST_EVEN
-    }
-    if args.group_size is not None:
-        repl["group_size"] = args.group_size
-    return dataclasses.replace(scheme, **repl)
+    return scheme_by_name(args.scheme, ROUNDING_NAMES[args.rounding], args.group_size)
 
 
 def _cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        d_in=args.d_in,
-        d_out=args.d_out,
-        d_batch=args.d_batch,
-        spectrum_power=args.spectrum_power,
-        tail=args.tail,
-        tail_dof=args.tail_dof,
-        outlier_count=args.outlier_count,
-        outlier_magnitude=args.outlier_magnitude,
-        seed=args.seed,
-    )
+    fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
+    spec = SyntheticSpec(**{k: v for k, v in vars(args).items() if k in fields})
     w, x = gen_synthetic(spec)
     write_tensor(args.weights, w)
     write_tensor(args.activations, x)

@@ -24,7 +24,6 @@ directory.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -33,25 +32,19 @@ from typing import Optional
 
 from .errors import InvalidSpec
 from .pipeline import SyntheticSpec, gen_synthetic
-from .quantformats import (
-    ROUND_NEAREST_EVEN,
-    ROUND_STOCHASTIC,
-    VALID_GROUP_SIZES,
-    QuantScheme,
-    scheme_by_name,
-)
+from .quantformats import ROUNDING_NAMES, scheme_by_name
 from .tensorio import read_tensor
-from .transforms import TRANSFORM_KINDS
+from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
-_ROUNDING_NAMES = {"nearest": ROUND_NEAREST_EVEN, "stochastic": ROUND_STOCHASTIC}
-
-_DEFAULTS = {
-    "damp": 0.01,
-    "group_size": None,
-    "rounding": "nearest",
-    "r_repeats": 1,
-    "output": None,
+# Optional top-level keys and their types; only these two may be null.
+_OPTIONAL = {
+    "damp": float,
+    "group_size": int,
+    "rounding": str,
+    "r_repeats": int,
+    "output": str,
 }
+_NULLABLE = ("group_size", "output")
 
 # SyntheticSpec fields settable from a config; seed is excluded on purpose.
 _SYNTH_FIELDS = {
@@ -95,10 +88,10 @@ class ExperimentConfig:
     transforms: tuple
     schemes: tuple
     seeds: tuple
-    damp: float = _DEFAULTS["damp"]
+    damp: float = DEFAULT_DAMP
     group_size: Optional[int] = None
-    rounding: str = _DEFAULTS["rounding"]
-    r_repeats: int = _DEFAULTS["r_repeats"]
+    rounding: str = "nearest"
+    r_repeats: int = 1
     output: Optional[str] = None
     base_dir: Path = Path(".")
 
@@ -117,21 +110,16 @@ class ExperimentConfig:
             raise InvalidSpec("seeds: list is empty")
         if not 0 <= self.damp < math.inf:
             raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
-        if self.group_size is not None and self.group_size not in VALID_GROUP_SIZES:
+        if self.rounding not in ROUNDING_NAMES:
             raise InvalidSpec(
-                f"group_size: must be one of {VALID_GROUP_SIZES}, "
-                f"got {self.group_size}"
-            )
-        if self.rounding not in _ROUNDING_NAMES:
-            raise InvalidSpec(
-                f"rounding: must be one of {sorted(_ROUNDING_NAMES)}, "
+                f"rounding: must be one of {sorted(ROUNDING_NAMES)}, "
                 f"got {self.rounding!r}"
             )
         if self.r_repeats < 1:
             raise InvalidSpec(f"r_repeats: must be >= 1, got {self.r_repeats}")
         self._tensor_cache = None
-        # Trigger validation of the data block and every scheme name now,
-        # before any computation starts.
+        # Trigger validation of the data block, every scheme name and the
+        # group size now, before any computation starts.
         self._synth_spec(seed=0)
         self.resolved_schemes()
 
@@ -179,15 +167,11 @@ class ExperimentConfig:
 
     def resolved_schemes(self) -> list:
         """``(name, QuantScheme)`` pairs with config overrides applied."""
-        out = []
-        rounding = _ROUNDING_NAMES[self.rounding]
-        for name in self.schemes:
-            scheme = scheme_by_name(_want("schemes", name, str))
-            replacements = {"rounding": rounding}
-            if self.group_size is not None:
-                replacements["group_size"] = self.group_size
-            out.append((scheme.name, dataclasses.replace(scheme, **replacements)))
-        return out
+        rounding = ROUNDING_NAMES[self.rounding]
+        return [
+            (s.name, s)
+            for s in (scheme_by_name(n, rounding, self.group_size) for n in self.schemes)
+        ]
 
     # -- provenance ---------------------------------------------------------
 
@@ -251,7 +235,7 @@ def _parse_data(doc) -> dict:
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     """Validate a decoded JSON document into an :class:`ExperimentConfig`."""
     top = _want("config", doc, dict)
-    allowed = {"data", "transforms", "schemes", "seeds", *_DEFAULTS}
+    allowed = {"data", "transforms", "schemes", "seeds", *_OPTIONAL}
     _reject_unknown("", top, allowed)
     for key in ("data", "transforms", "schemes", "seeds"):
         if key not in top:
@@ -268,17 +252,11 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         _want(f"seeds[{i}]", v, int)
         for i, v in enumerate(_want("seeds", top["seeds"], list))
     )
-    kwargs = {}
-    if "group_size" in top and top["group_size"] is not None:
-        kwargs["group_size"] = _want("group_size", top["group_size"], int)
-    if "damp" in top:
-        kwargs["damp"] = _want("damp", top["damp"], float)
-    if "rounding" in top:
-        kwargs["rounding"] = _want("rounding", top["rounding"], str)
-    if "r_repeats" in top:
-        kwargs["r_repeats"] = _want("r_repeats", top["r_repeats"], int)
-    if "output" in top and top["output"] is not None:
-        kwargs["output"] = _want("output", top["output"], str)
+    kwargs = {
+        key: _want(key, top[key], kind)
+        for key, kind in _OPTIONAL.items()
+        if key in top and not (top[key] is None and key in _NULLABLE)
+    }
     return ExperimentConfig(
         data=_parse_data(top["data"]),
         transforms=transforms,

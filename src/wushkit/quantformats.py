@@ -54,6 +54,8 @@ VALID_GROUP_SIZES = (16, 32, 64, 128)
 
 ROUND_NEAREST_EVEN = "nearest_even"
 ROUND_STOCHASTIC = "stochastic"
+#: User-facing rounding names (CLI ``--rounding``, config ``rounding``).
+ROUNDING_NAMES = {"nearest": ROUND_NEAREST_EVEN, "stochastic": ROUND_STOCHASTIC}
 
 #: Clipping multiplier for the ``int4`` preset: the (0, 1] factor applied to
 #: a group's absmax before scale computation that minimizes expected squared
@@ -286,15 +288,21 @@ _PRESETS = {"mxfp4": mxfp4_scheme, "nvfp4": nvfp4_scheme, "int4": int4_scheme}
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def scheme_by_name(name: str, **overrides) -> QuantScheme:
-    """Look up a preset (``mxfp4``, ``nvfp4``, ``int4``) by name."""
+def scheme_by_name(
+    name: str, rounding: str = ROUND_NEAREST_EVEN, group_size: Optional[int] = None
+) -> QuantScheme:
+    """Look up a preset (``mxfp4``, ``nvfp4``, ``int4``) by name, with its
+    rounding mode and, unless ``group_size`` is None, its group size replaced."""
     try:
         builder = _PRESETS[name.lower()]
-    except KeyError:
+    except (KeyError, AttributeError):  # AttributeError: name is not a str
         raise InvalidSpec(
             f"unknown scheme {name!r}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder(**overrides)
+    scheme = builder(rounding)
+    if group_size is None:
+        return scheme
+    return dataclasses.replace(scheme, group_size=group_size)
 
 
 def round_bf16(x):

@@ -186,6 +186,11 @@ def test_config_type_errors():
     for damp in (True, -0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidSpec, match="damp"):
             parse_config(_doc(damp=damp))
+    # only group_size and output may be null
+    for key, value in (("damp", None), ("rounding", None), ("r_repeats", None),
+                       ("group_size", 48)):
+        with pytest.raises(InvalidSpec, match=key):
+            parse_config(_doc(**{key: value}))
     with pytest.raises(InvalidSpec, match="transforms"):
         parse_config(_doc(transforms="wush"))
     with pytest.raises(InvalidSpec, match="unknown kind"):

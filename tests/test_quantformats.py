@@ -175,16 +175,24 @@ def test_quantize_group_shape_errors():
 def test_quantize_matrix_matches_groups(preset, rounding):
     # the documented stream: one shared rng, blocks outermost, columns
     # innermost, group_size consecutive uniforms per sub-column
-    scheme = qf.scheme_by_name(preset, rounding=rounding)
-    d = scheme.group_size
-    m = np.random.default_rng(6).standard_normal((3 * d, 4)) * 5.0
-    for k in range(3):
-        full = qf.quantize_matrix(m, scheme, np.random.default_rng(k))
-        rng = np.random.default_rng(k)
-        for b in range(3):
-            for c in range(4):
-                g = qf.quantize_group(m[d * b : d * (b + 1), c], scheme, rng)
-                np.testing.assert_array_equal(full[d * b : d * (b + 1), c], g.dequantized)
+    preset_scheme = qf.scheme_by_name(preset, rounding=rounding)
+    for group_size in (None, 16):
+        scheme = qf.scheme_by_name(preset, rounding=rounding, group_size=group_size)
+        assert (scheme.name, scheme.rounding, scheme.clipping) == (
+            preset, rounding, preset_scheme.clipping
+        )
+        assert scheme.group_size == (group_size or preset_scheme.group_size)
+        d = scheme.group_size
+        m = np.random.default_rng(6).standard_normal((3 * d, 4)) * 5.0
+        for k in range(3):
+            full = qf.quantize_matrix(m, scheme, np.random.default_rng(k))
+            rng = np.random.default_rng(k)
+            for b in range(3):
+                for c in range(4):
+                    g = qf.quantize_group(m[d * b : d * (b + 1), c], scheme, rng)
+                    np.testing.assert_array_equal(
+                        full[d * b : d * (b + 1), c], g.dequantized
+                    )
 
 
 def test_quantize_matrix_rejects_bad_rows():
