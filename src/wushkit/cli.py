@@ -78,7 +78,7 @@ def _add_cell_args(p):
     p.add_argument("--kind", required=True, choices=TRANSFORM_KINDS)
     p.add_argument("--scheme", required=True, choices=PRESET_NAMES)
     p.add_argument("--damp", type=float, default=DEFAULT_DAMP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--group-size", type=int, default=None)
     p.add_argument("--rounding", choices=tuple(ROUNDING_NAMES), default="nearest")
 
@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tail-dof", type=float)
     p.add_argument("--outlier-count", type=int)
     p.add_argument("--outlier-magnitude", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_nonnegative_int)
     p.add_argument("--weights", required=True, metavar="OUT.wten")
     p.add_argument("--activations", required=True, metavar="OUT.wten")
 
@@ -125,12 +125,12 @@ def build_parser() -> _Parser:
     p.add_argument("which", choices=("fp", "int"))
     p.add_argument("--d", type=int, default=32)
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--spread", type=float, default=1.0)
 
     p = sub.add_parser("bounds", help="E max X^2 inequality table")
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-log2-d", type=_nonnegative_int, default=10)
 
     p = sub.add_parser("grids", help="print quantizer grids")

@@ -108,6 +108,9 @@ class ExperimentConfig:
             raise InvalidSpec("schemes: list is empty")
         if not self.seeds:
             raise InvalidSpec("seeds: list is empty")
+        for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise InvalidSpec(f"seeds[{i}]: must be >= 0, got {seed}")
         if not 0 <= self.damp < math.inf:
             raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
         if self.rounding not in ROUNDING_NAMES:

@@ -37,7 +37,7 @@ class Singular(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """An iterative solver exhausted its sweep budget."""
+    """LAPACK ``eigh`` failed to converge on a symmetric eigenproblem."""
 
 
 # --- quantization ---------------------------------------------------------

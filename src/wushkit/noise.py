@@ -23,15 +23,20 @@ by straight Monte Carlo for cross-checking the algebra.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch, ValidationError
-from .linalg import cholesky, invert, random_rotation
+from .linalg import _as_square, cholesky, invert, random_rotation
 
 _LN2 = math.log(2.0)
+
+#: Samples per Monte Carlo chunk in ``one_sided_loss_mc``.  The draws are
+#: made chunk by chunk, so this value is part of every estimate.
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ def _as_1d_positive(v, name: str) -> np.ndarray:
 def _check_orthogonal(q: np.ndarray, name: str, tol: float = 1e-6) -> None:
     d = q.shape[0]
     err = float(np.max(np.abs(q @ q.T - np.eye(d))))
-    if err > tol:
+    if not err <= tol:  # NaN (from overflow) fails too
         raise ValidationError(f"{name} is not orthogonal (|QQ^T - I|_max = {err:.2e})")
 
 
@@ -107,11 +112,13 @@ def compose_transform(u_prime, s_prime, r, u, s) -> np.ndarray:
     eigenvalues are ``s**2``); ``(u_prime, s_prime, r)`` are the free
     parameters of the transform family.
     """
-    up = np.asarray(u_prime, dtype=np.float64)
-    uu = np.asarray(u, dtype=np.float64)
-    rr = np.asarray(r, dtype=np.float64)
+    up = _as_square(u_prime, "u_prime")
+    uu = _as_square(u, "u")
+    rr = _as_square(r, "r")
     sp = _as_1d_positive(s_prime, "s_prime")
     ss = _as_1d_positive(s, "s")
+    if {up.shape[0], uu.shape[0], rr.shape[0], sp.size} != {ss.size}:
+        raise ShapeMismatch("compose_transform arguments disagree on dimension")
     return (up * sp[None, :]) @ rr.T @ ((1.0 / ss)[:, None] * uu.T)
 
 
@@ -126,8 +133,8 @@ def fp_trace_term(u_prime, s_prime, r, s) -> float:
     """
     sp = _as_1d_positive(s_prime, "s_prime")
     ss = _as_1d_positive(s, "s")
-    up = np.asarray(u_prime, dtype=np.float64)
-    rr = np.asarray(r, dtype=np.float64)
+    up = _as_square(u_prime, "u_prime")
+    rr = _as_square(r, "r")
     d = ss.size
     if up.shape != (d, d) or rr.shape != (d, d) or sp.size != d:
         raise ShapeMismatch("fp_trace_term arguments disagree on dimension")
@@ -167,7 +174,6 @@ def one_sided_loss_mc(
     model: NoiseModel,
     n_samples: int,
     seed: int,
-    chunk: int = 65536,
 ) -> LossEstimate:
     """Monte Carlo estimate of ``E |T^-1 eps(T y)|^2`` with the model's eps.
 
@@ -175,20 +181,20 @@ def one_sided_loss_mc(
     the sample mean and its standard error.  Singular transforms and
     non-positive-definite moments raise through :func:`~wushkit.linalg`.
     """
-    if n_samples < 2:
-        raise ValidationError("need at least 2 Monte Carlo samples")
-    t_arr = np.asarray(t, dtype=np.float64)
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
+    t_arr = _as_square(t, "transform")
     d = t_arr.shape[0]
-    if t_arr.shape != (d, d):
-        raise ShapeMismatch(f"transform must be square, got {t_arr.shape}")
     chol = cholesky(moment)
+    if chol.shape != t_arr.shape:
+        raise ShapeMismatch(f"moment {chol.shape} does not match transform {t_arr.shape}")
     t_inv = invert(t_arr)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(_CHUNK, remaining)
         z = rng.standard_normal((m, d))
         ty = (z @ chol.T) @ t_arr.T
         eta = model.sample_eta(rng, (m, d))

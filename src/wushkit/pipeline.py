@@ -66,6 +66,8 @@ class SyntheticSpec:
             raise InvalidSpec("outlier_count must be in [0, d_in]")
         if self.outlier_count and not 0.0 < self.outlier_magnitude < math.inf:
             raise InvalidSpec("outlier_magnitude must be positive and finite")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     def eigenvalues(self) -> np.ndarray:
         if self.spectrum_values is not None:

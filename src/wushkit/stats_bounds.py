@@ -46,6 +46,7 @@ reference the tests compare against.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,21 +62,22 @@ COV_STRUCTURES = ("iid", "correlated")
 SURVIVAL_HI_SIGMA = 12.0
 
 
+def _check_bound_args(d: float, max_var: float) -> None:
+    if not 1 <= d < math.inf:
+        raise InvalidSpec(f"dimension must be finite and >= 1, got {d}")
+    if not 0 <= max_var < math.inf:
+        raise InvalidCovariance(f"variance must be finite and nonnegative, got {max_var}")
+
+
 def gaussian_max_bound(d: float, max_var: float = 1.0) -> float:
     """``min(d, 2 ln(2 d) + 2) * max_var``; holds for any centered Gaussian."""
-    if d < 1:
-        raise InvalidSpec(f"dimension must be >= 1, got {d}")
-    if max_var < 0:
-        raise InvalidCovariance("variance must be nonnegative")
+    _check_bound_args(d, max_var)
     return min(float(d), 2.0 * math.log(2.0 * d) + 2.0) * max_var
 
 
 def laplacian_max_bound(d: float, max_var: float = 1.0) -> float:
     """``(ln(d)^2 / 2 + ln d + 1) * max_var`` for Laplacian marginals."""
-    if d < 1:
-        raise InvalidSpec(f"dimension must be >= 1, got {d}")
-    if max_var < 0:
-        raise InvalidCovariance("variance must be nonnegative")
+    _check_bound_args(d, max_var)
     ln_d = math.log(d)
     return (0.5 * ln_d * ln_d + ln_d + 1.0) * max_var
 
@@ -133,6 +135,10 @@ _FAR_DEN = (
 #: uniforms included (measured with tracemalloc: 17.6 for the equicorrelated
 #: Gaussian at d > 1, the largest cell; 4 for the i.i.d. Laplacian).
 _LIVE_PER_SAMPLE = 18
+
+#: Live float64 values one chunk of ``mc_max_sq`` may hold (128 MiB); the
+#: chunking does not change the result beyond summation order.
+_CHUNK_SCALARS = 1 << 24
 
 #: Uniforms per sample: ``U`` always, ``V`` for the second variable of the
 #: correlated laws, ``W`` for the equicorrelated Gaussian's common factor.
@@ -293,7 +299,6 @@ def mc_max_sq(
     seed: int = 0,
     rho: float = 0.5,
     var: float = 1.0,
-    chunk_scalars: int = 1 << 24,
 ) -> MaxSqEstimate:
     """Monte Carlo estimate of ``E max_k X_k^2`` with its standard error.
 
@@ -302,23 +307,23 @@ def mc_max_sq(
     drawn in O(1), independent of ``d``, from the law of the maximum (see the
     module docstring): one to three open-interval uniforms, pushed through
     the closed-form quantiles.  Memory use is bounded by drawing in chunks
-    of at most about ``chunk_scalars`` live float64 values.
+    of at most about ``_CHUNK_SCALARS`` live float64 values.
     """
     if family not in FAMILIES:
         raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
     if cov not in COV_STRUCTURES:
         raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {cov!r}")
-    if d < 1:
-        raise InvalidSpec(f"dimension must be >= 1, got {d}")
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples")
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise InvalidSpec(f"dimension must be an integer >= 1, got {d!r}")
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
+        raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
     if not 0.0 <= rho < 1.0:
         raise InvalidCovariance(f"rho must lie in [0, 1), got {rho}")
-    if not var > 0.0:
-        raise InvalidCovariance(f"var must be positive, got {var}")
+    if not 0.0 < var < math.inf:
+        raise InvalidCovariance(f"var must be positive and finite, got {var}")
     rng = np.random.default_rng(seed)
     n_uniforms = _N_UNIFORMS[family, cov]
-    rows_per_chunk = max(1, chunk_scalars // _LIVE_PER_SAMPLE)
+    rows_per_chunk = max(1, _CHUNK_SCALARS // _LIVE_PER_SAMPLE)
     total = 0.0
     total_sq = 0.0
     remaining = n_samples

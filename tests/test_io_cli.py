@@ -181,8 +181,9 @@ def test_config_synthetic_seed_rejected():
 
 
 def test_config_type_errors():
-    with pytest.raises(InvalidSpec, match="seeds\\[1\\]"):
-        parse_config(_doc(seeds=[0, "one"]))
+    for seeds in ([0, "one"], [0, -1]):
+        with pytest.raises(InvalidSpec, match="seeds\\[1\\]"):
+            parse_config(_doc(seeds=seeds))
     for damp in (True, -0.5, float("nan"), float("inf")):
         with pytest.raises(InvalidSpec, match="damp"):
             parse_config(_doc(damp=damp))
@@ -433,6 +434,21 @@ def test_cli_usage_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "--max-log2-d" in captured.err and "must be >= 0" in captured.err
     assert captured.out == ""
+    # every --seed refuses a negative value as a usage error
+    cell = ["--weights", "w", "--activations", "x", "--kind", "h", "--scheme", "int4"]
+    for argv in (
+        ["gen", "--d-in", "8", "--d-out", "4", "--d-batch", "8",
+         "--weights", str(tmp_path / "w"), "--activations", str(tmp_path / "x")],
+        ["plan", *cell, "--out-dir", str(tmp_path / "plan")],
+        ["loss", *cell],
+        ["validate", "fp"],
+        ["bounds", "--samples", "100"],
+    ):
+        assert cli.main([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and "must be >= 0" in captured.err
+        assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_validation_failure_exit_1(tmp_path, capsys):

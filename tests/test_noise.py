@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wushkit import noise
-from wushkit.errors import OutOfRange, ShapeMismatch, ValidationError
+from wushkit.errors import NaNInput, OutOfRange, ShapeMismatch, ValidationError
 from wushkit.linalg import hadamard, random_rotation
 
 LN2 = math.log(2.0)
@@ -75,6 +75,12 @@ def test_compose_transform_rejects_bad_scales():
         noise.compose_transform(np.eye(2), [1.0, -1.0], np.eye(2), np.eye(2), [1.0, 1.0])
     with pytest.raises(ShapeMismatch):
         noise.compose_transform(np.eye(2), np.ones((2, 2)), np.eye(2), np.eye(2), [1.0, 1.0])
+    with pytest.raises(NaNInput):
+        noise.compose_transform(np.full((2, 2), np.nan), [1.0, 1.0], np.eye(2), np.eye(2), [1.0, 1.0])
+    for up, r, u in ((np.eye(3), np.eye(2), np.eye(2)), (np.eye(2), np.eye(3), np.eye(2)),
+                     (np.eye(2), np.eye(2), np.eye(3)), (np.eye(2), np.ones((2, 3)), np.eye(2))):
+        with pytest.raises(ShapeMismatch):
+            noise.compose_transform(up, [1.0, 1.0], r, u, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,13 @@ def test_fp_trace_term_rejects_non_orthogonal():
         noise.fp_trace_term(np.array([[1.0, 0.0], [1.0, 1.0]]), s, np.eye(2), s)
     with pytest.raises(ShapeMismatch):
         noise.fp_trace_term(np.eye(3), np.ones(2), np.eye(2), np.ones(2))
+    with pytest.raises(NaNInput):
+        noise.fp_trace_term(np.full((2, 2), np.nan), s, np.eye(2), s)
+    # Q Q^T overflows to inf - inf = NaN, which must not pass as orthogonal
+    huge = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="not orthogonal"):
+            noise.fp_trace_term(huge, s, np.eye(2), s)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +234,12 @@ def test_mc_validation():
         noise.one_sided_loss_mc(np.eye(2), np.eye(2), noise.IntAbsmax(4), 1, seed=0)
     with pytest.raises(ShapeMismatch):
         noise.one_sided_loss_mc(np.ones((2, 3)), np.eye(2), noise.IntAbsmax(4), 10, seed=0)
+    with pytest.raises(ShapeMismatch):
+        noise.one_sided_loss_mc(np.eye(3), np.eye(2), noise.IntAbsmax(4), 10, seed=0)
+    with pytest.raises(NaNInput):
+        noise.one_sided_loss_mc(np.full((2, 2), np.nan), np.eye(2), noise.IntAbsmax(4), 10, seed=0)
+    with pytest.raises(ValidationError, match="integer"):
+        noise.one_sided_loss_mc(np.eye(2), np.eye(2), noise.IntAbsmax(4), 10.5, seed=0)
 
 
 # ---------------------------------------------------------------------------

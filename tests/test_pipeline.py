@@ -117,6 +117,8 @@ def test_synthetic_spec_validation():
         _spec(d_in=0)
     with pytest.raises(InvalidSpec):
         _spec(tail="cauchy")
+    with pytest.raises(InvalidSpec, match="seed"):
+        _spec(seed=-1)
     for dof in (2.0, np.inf, np.nan):
         with pytest.raises(InvalidSpec, match="dof"):
             _spec(tail="student_t", tail_dof=dof)

@@ -51,8 +51,12 @@ def test_bound_validation():
     for fn in (sb.gaussian_max_bound, sb.laplacian_max_bound):
         with pytest.raises(InvalidSpec):
             fn(0.5)
-        with pytest.raises(InvalidCovariance):
-            fn(4, -1.0)
+        for max_var in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidCovariance):
+                fn(4, max_var)
+        for d in (math.nan, math.inf):
+            with pytest.raises(InvalidSpec):
+                fn(d)
 
 
 def test_consistent_flag():
@@ -119,9 +123,10 @@ def test_mc_stays_below_bound(family, cov):
         assert est.empirical < est.bound  # comfortably inside at these dims
 
 
-def test_mc_chunking_is_invisible():
+def test_mc_chunking_is_invisible(monkeypatch):
     a = sb.mc_max_sq("gaussian", 4, n_samples=5000, seed=3)
-    b = sb.mc_max_sq("gaussian", 4, n_samples=5000, seed=3, chunk_scalars=64)
+    monkeypatch.setattr(sb, "_CHUNK_SCALARS", 64)
+    b = sb.mc_max_sq("gaussian", 4, n_samples=5000, seed=3)
     assert math.isclose(a.empirical, b.empirical, rel_tol=1e-10)
     assert math.isclose(a.se, b.se, rel_tol=1e-8)
 
@@ -137,8 +142,13 @@ def test_mc_validation():
         sb.mc_max_sq("gaussian", 4, n_samples=1)
     with pytest.raises(InvalidCovariance):
         sb.mc_max_sq("gaussian", 4, rho=1.0)
-    with pytest.raises(InvalidCovariance):
-        sb.mc_max_sq("gaussian", 4, var=0.0)
+    for var in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidCovariance):
+            sb.mc_max_sq("gaussian", 4, var=var)
+    with pytest.raises(InvalidSpec, match="integer"):
+        sb.mc_max_sq("gaussian", 4.5)
+    with pytest.raises(ValidationError, match="integer"):
+        sb.mc_max_sq("gaussian", 4, n_samples=10.5)
 
 
 # ---------------------------------------------------------------------------
