@@ -36,7 +36,7 @@ from .quantformats import ROUNDING_NAMES, scheme_by_name
 from .tensorio import read_tensor
 from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
-# Optional top-level keys and their types; only these two may be null.
+# Optional top-level keys and their types; of these only _NULLABLE may be null.
 _OPTIONAL = {
     "damp": float,
     "group_size": int,
