@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -36,23 +36,14 @@ from .quantformats import ROUNDING_NAMES, scheme_by_name
 from .tensorio import read_tensor
 from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
-# Optional top-level keys and their types; of these only _NULLABLE may be null.
-_OPTIONAL = {
-    "damp": float,
-    "group_size": int,
-    "rounding": str,
-    "r_repeats": int,
-    "output": str,
-}
-_NULLABLE = ("group_size", "output")
-
 # SyntheticSpec fields settable from a config; seed is excluded on purpose.
+# spectrum_values is a list of numbers, or null.
 _SYNTH_FIELDS = {
     "d_in": int,
     "d_out": int,
     "d_batch": int,
     "spectrum_power": float,
-    "spectrum_values": list,
+    "spectrum_values": float,
     "tail": str,
     "tail_dof": float,
     "outlier_count": int,
@@ -76,6 +67,13 @@ def _want(path: str, value, kind):
     return value
 
 
+def _want_list(path: str, value, kind) -> tuple:
+    """A JSON list (or a tuple) whose items are all ``kind``, as a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidSpec(f"{path}: expected list, got {type(value).__name__}")
+    return tuple(_want(f"{path}[{i}]", v, kind) for i, v in enumerate(value))
+
+
 def _reject_unknown(path: str, doc: dict, allowed) -> None:
     for key in doc:
         if key not in allowed:
@@ -96,6 +94,17 @@ class ExperimentConfig:
     base_dir: Path = Path(".")
 
     def __post_init__(self):
+        self.transforms = _want_list("transforms", self.transforms, str)
+        self.schemes = _want_list("schemes", self.schemes, str)
+        self.seeds = _want_list("seeds", self.seeds, int)
+        self.damp = _want("damp", self.damp, float)
+        if self.group_size is not None:
+            _want("group_size", self.group_size, int)
+        _want("rounding", self.rounding, str)
+        _want("r_repeats", self.r_repeats, int)
+        if self.output is not None:
+            _want("output", self.output, str)
+        self.data = _parse_data(self.data)
         if not self.transforms:
             raise InvalidSpec("transforms: list is empty")
         for kind in self.transforms:
@@ -137,12 +146,7 @@ class ExperimentConfig:
     def _synth_spec(self, seed: int) -> Optional[SyntheticSpec]:
         if "synthetic" not in self.data:
             return None
-        fields = dict(self.data["synthetic"])
-        if "spectrum_values" in fields and fields["spectrum_values"] is not None:
-            fields["spectrum_values"] = tuple(
-                float(v) for v in fields["spectrum_values"]
-            )
-        return SyntheticSpec(seed=seed, **fields)
+        return SyntheticSpec(seed=seed, **self.data["synthetic"])
 
     def load_data(self, seed: int):
         """Return the ``(w, x)`` pair for one sweep cell.
@@ -180,17 +184,11 @@ class ExperimentConfig:
 
     def resolved_dict(self) -> dict:
         """The full configuration with every default made explicit."""
-        return {
-            "data": self.data,
-            "transforms": list(self.transforms),
-            "schemes": list(self.schemes),
-            "seeds": list(self.seeds),
-            "damp": self.damp,
-            "group_size": self.group_size,
-            "rounding": self.rounding,
-            "r_repeats": self.r_repeats,
-            "output": self.output,
-        }
+        out = {}
+        for f in _doc_fields():
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     def echo_lines(self) -> list:
         return [
@@ -211,15 +209,11 @@ def _parse_data(doc) -> dict:
         _reject_unknown("data.synthetic.", synth, _SYNTH_FIELDS)
         clean = {}
         for key, value in synth.items():
-            if key == "spectrum_values":
-                if value is not None:
-                    value = [
-                        _want(f"data.synthetic.spectrum_values[{i}]", v, float)
-                        for i, v in enumerate(_want(f"data.synthetic.{key}", value, list))
-                    ]
-                clean[key] = value
+            path, kind = f"data.synthetic.{key}", _SYNTH_FIELDS[key]
+            if key != "spectrum_values":
+                clean[key] = _want(path, value, kind)
             else:
-                clean[key] = _want(f"data.synthetic.{key}", value, _SYNTH_FIELDS[key])
+                clean[key] = None if value is None else _want_list(path, value, kind)
         return {"synthetic": clean}
     if set(data) == {"tensors"}:
         tensors = _want("data.tensors", data["tensors"], dict)
@@ -235,39 +229,20 @@ def _parse_data(doc) -> dict:
     )
 
 
+def _doc_fields() -> list:
+    """The config document's keys: every field but ``base_dir``."""
+    return [f for f in fields(ExperimentConfig) if f.name != "base_dir"]
+
+
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     """Validate a decoded JSON document into an :class:`ExperimentConfig`."""
     top = _want("config", doc, dict)
-    allowed = {"data", "transforms", "schemes", "seeds", *_OPTIONAL}
-    _reject_unknown("", top, allowed)
-    for key in ("data", "transforms", "schemes", "seeds"):
-        if key not in top:
-            raise InvalidSpec(f"{key}: missing required key")
-    transforms = tuple(
-        _want(f"transforms[{i}]", v, str)
-        for i, v in enumerate(_want("transforms", top["transforms"], list))
-    )
-    schemes = tuple(
-        _want(f"schemes[{i}]", v, str)
-        for i, v in enumerate(_want("schemes", top["schemes"], list))
-    )
-    seeds = tuple(
-        _want(f"seeds[{i}]", v, int)
-        for i, v in enumerate(_want("seeds", top["seeds"], list))
-    )
-    kwargs = {
-        key: _want(key, top[key], kind)
-        for key, kind in _OPTIONAL.items()
-        if key in top and not (top[key] is None and key in _NULLABLE)
-    }
-    return ExperimentConfig(
-        data=_parse_data(top["data"]),
-        transforms=transforms,
-        schemes=schemes,
-        seeds=seeds,
-        base_dir=Path(base_dir),
-        **kwargs,
-    )
+    keys = _doc_fields()
+    _reject_unknown("", top, [f.name for f in keys])
+    for f in keys:
+        if f.default is MISSING and f.name not in top:
+            raise InvalidSpec(f"{f.name}: missing required key")
+    return ExperimentConfig(**top, base_dir=Path(base_dir))
 
 
 def load_config(path) -> ExperimentConfig:

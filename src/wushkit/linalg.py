@@ -15,7 +15,7 @@ platforms they may differ in the last bits.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,6 +40,17 @@ class SymEigen(NamedTuple):
     eigenvalues: np.ndarray
 
 
+def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """``m`` as float64 with ``ndim`` dimensions (any, if None); non-finite
+    entries are refused."""
+    a = np.asarray(m, dtype=np.float64)
+    if ndim is not None and a.ndim != ndim:
+        raise ShapeMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NaNInput(f"{name} contains non-finite values")
+    return a
+
+
 def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     """``m`` as float64: one square matrix, or with ``stacked`` a
     ``(..., d, d)`` stack of them; non-finite entries are refused."""
@@ -47,9 +58,7 @@ def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         want = "a (..., d, d) stack" if stacked else "square 2-D"
         raise ShapeMismatch(f"{name} must be {want}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NaNInput(f"{name} contains non-finite values")
-    return a
+    return _as_finite(a, name)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch, ValidationError
-from .linalg import _as_square, cholesky, invert, random_rotation
+from .linalg import _as_finite, _as_square, cholesky, invert, random_rotation
 
 _LN2 = math.log(2.0)
 
@@ -90,11 +90,9 @@ class LossEstimate(NamedTuple):
 
 
 def _as_1d_positive(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all() or np.any(arr <= 0.0):
-        raise ValidationError(f"{name} must be strictly positive and finite")
+    arr = _as_finite(v, name, 1)
+    if np.any(arr <= 0.0):
+        raise ValidationError(f"{name} must be strictly positive")
     return arr
 
 

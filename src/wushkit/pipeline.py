@@ -33,9 +33,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
-from .linalg import random_rotation
+from .linalg import _as_finite, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
-from .transforms import DEFAULT_DAMP, LayerPlan, _as_finite, build_layer_plan
+from .transforms import DEFAULT_DAMP, LayerPlan, build_layer_plan
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
 
@@ -145,13 +145,13 @@ def _factors(plan: LayerPlan, x, w=None):
     weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
     quantizing activations block by block from the plan's one activation
     stream.  The inputs must fit the plan; a loss needs one sample."""
-    x_arr = _as_finite(x, "activations")
+    x_arr = _as_finite(x, "activations", 2)
     if x_arr.shape[0] != plan.d_in:
         raise ShapeMismatch(
             f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
         )
     if w is not None:
-        w_arr = _as_finite(w, "weights")
+        w_arr = _as_finite(w, "weights", 2)
         if w_arr.shape != (plan.d_in, plan.d_out) or x_arr.shape[1] < 1:
             raise ShapeMismatch(
                 f"plan wants weights {(plan.d_in, plan.d_out)} and at least one "

@@ -49,6 +49,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
+from .linalg import _as_finite
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
 
@@ -367,13 +368,6 @@ def _round_codes(
     return _stoch(scaled, _signed_grid(vf), uniforms)
 
 
-def _check_values(v: np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NaNInput(f"{name} contains NaN or infinity")
-    return arr
-
-
 def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng):
     """Codes and ``(n_blocks, cols)`` scales of ``(n_blocks, d, cols)`` blocks."""
     stochastic = scheme.rounding == ROUND_STOCHASTIC
@@ -398,8 +392,8 @@ def quantize_group(
     rounding or clipping pushed past the ends).  In stochastic mode an
     explicit ``rng`` supplies the uniforms; the scale stays deterministic.
     """
-    arr = _check_values(v, "group values")
-    if arr.ndim != 1 or arr.size != scheme.group_size:
+    arr = _as_finite(v, "group values", 1)
+    if arr.size != scheme.group_size:
         raise ShapeMismatch(
             f"group must be a vector of length {scheme.group_size}, got shape {arr.shape}"
         )
@@ -421,9 +415,7 @@ def quantize_matrix(
     :func:`quantize_group` on the sub-columns in that order (blocks
     outermost) with the same ``rng``, and independent of evaluation order.
     """
-    arr = _check_values(m, "matrix")
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
+    arr = _as_finite(m, "matrix", 2)
     d = scheme.group_size
     rows, cols = arr.shape
     if rows % d != 0:

@@ -29,8 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, NaNInput, NotPositiveDefinite, ShapeMismatch
-from .linalg import cholesky, hadamard, invert, random_rotation, sym_eigen
+from .errors import InvalidSpec, NotPositiveDefinite, ShapeMismatch
+from .linalg import (
+    _as_finite, cholesky, hadamard, invert, random_rotation, sym_eigen,
+)
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 
 TRANSFORM_KINDS = ("i", "r", "h", "wus", "wush")
@@ -85,15 +87,6 @@ class LayerPlan:
         return self.w_hat.shape[2]
 
 
-def _as_finite(m, name: str, ndim: int = 2) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ShapeMismatch(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NaNInput(f"{name} contains non-finite values")
-    return arr
-
-
 def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     """Diagonal ``d x d`` blocks of the damped second moments ``W W^T / d_out``
     and ``X X^T / d_batch``, stacked ``(n_blocks, d, d)``.
@@ -103,8 +96,8 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     the full moment's diagonal, so a weak block in a strong layer is damped
     by the layer-wide scale.
     """
-    w_arr = _as_finite(w, "weights")
-    x_arr = _as_finite(x, "activations")
+    w_arr = _as_finite(w, "weights", 2)
+    x_arr = _as_finite(x, "activations", 2)
     if w_arr.shape[0] != x_arr.shape[0]:
         raise ShapeMismatch(
             f"weights and activations disagree on d_in: {w_arr.shape[0]} vs {x_arr.shape[0]}"
@@ -199,11 +192,10 @@ def build_layer_plan(
     blocks (see :func:`build_block`) and, if the scheme requests stochastic
     weight rounding, a stream derived from it, drawn block by block.
     """
-    w_arr = _as_finite(w, "weights")
-    x_arr = _as_finite(x, "activations")
     d = scheme.group_size
-    moments = second_moments(w_arr, x_arr, d, damp)
+    moments = second_moments(w, x, d, damp)  # checks w and x
     t_act, t_weight = build_block(kind, moments.m_w, moments.m_x, seed)
+    w_arr = np.asarray(w, dtype=np.float64)
     w_t = t_weight @ w_arr.reshape(t_act.shape[0], d, w_arr.shape[1])
     wq_rng = None
     if scheme.rounding == ROUND_STOCHASTIC:

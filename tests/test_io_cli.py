@@ -14,6 +14,7 @@ import pytest
 
 from wushkit import cli, tensorio
 from wushkit.config import (
+    ExperimentConfig,
     format_float,
     load_config,
     parse_config,
@@ -202,6 +203,25 @@ def test_config_type_errors():
         parse_config(_doc(data={}))
     with pytest.raises(InvalidSpec, match="missing required key"):
         parse_config({k: v for k, v in _doc().items() if k != "seeds"})
+
+
+def test_config_constructor_enforces_types():
+    # built in Python, not parsed: the constructor alone holds the schema
+    base = {k: tuple(v) if isinstance(v, list) else v for k, v in _doc().items()}
+    synth = dict(base["data"]["synthetic"], d_in="32")
+    for field, overrides in (
+        ("damp", {"damp": "0.1"}),
+        ("seeds", {"seeds": ("a",)}),
+        ("d_in", {"data": {"synthetic": synth}}),
+        ("r_repeats", {"r_repeats": 1.5}),
+        ("activations", {"data": {"tensors": {"weights": "w.wten"}}}),
+        ("seeds", {"seeds": (True,)}),
+        ("damp", {"damp": True}),
+    ):
+        with pytest.raises(InvalidSpec, match=field):
+            ExperimentConfig(**dict(base, **overrides))
+    cfg = ExperimentConfig(**dict(base, transforms=["i"], damp=1))
+    assert cfg.transforms == ("i",) and cfg.damp == 1.0 and type(cfg.damp) is float
 
 
 def test_config_overrides_flow_into_schemes():
