@@ -124,6 +124,7 @@ E4M3 = FpFormat(4, 3, includes_subnormals=True, nan_codes=((15, 7),), name="e4m3
 E8M0 = FpFormat(8, 0, includes_subnormals=False, nan_codes=((255, 0),), name="e8m0")
 
 _BF16_MIN_POSITIVE = 2.0 ** -126  # smallest positive normal bf16
+_BF16_MAX = (2.0 - 2.0 ** -7) * 2.0 ** 127  # largest finite bf16
 
 
 @lru_cache(maxsize=32)
@@ -334,7 +335,9 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     sf = scheme.scale_format
     min_pos = _scale_min_positive(scheme)
     if isinstance(sf, Bf16Spec):
-        s = round_bf16(raw)
+        # Past the largest finite bf16 the float32 cast gives inf, and the
+        # codes 0 * inf = NaN; clamped, the codes saturate instead.
+        s = round_bf16(np.minimum(raw, _BF16_MAX))
     elif sf.mant_bits == 0:
         # Power-of-two grid: round the exponent up, so absmax / scale never
         # exceeds the value grid's max and no value saturates.

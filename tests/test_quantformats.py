@@ -137,6 +137,14 @@ def test_int4_scales_are_bf16():
     block = np.random.default_rng(4).standard_normal(32)
     g = qf.quantize_group(block, scheme)
     assert qf.round_bf16(g.scale) == g.scale
+    # past the largest finite bf16 the scale saturates there, codes at +-7
+    bf16_max = (2.0 - 2.0 ** -7) * 2.0 ** 127
+    for absmax in (2.6e39, 1e40, 1e300):
+        block = np.where(np.arange(32) % 2 == 0, absmax, -absmax)
+        g = qf.quantize_group(block, scheme)
+        assert g.scale == bf16_max
+        np.testing.assert_array_equal(g.codes, np.sign(block) * 7.0)
+        assert np.isfinite(qf.quantize_matrix(block[:, None], scheme)).all()
 
 
 def test_int4_clip_constant():
