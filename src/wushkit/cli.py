@@ -10,8 +10,9 @@ Subcommands::
     bounds     max-statistic inequality table across families and dims
     grids      print quantizer grids and scale ranges
 
-Exit status: 0 success, 1 validation failure (including usage errors) or
-stdout closed early, 2 numerical failure.
+Exit status: 0 success, 1 validation failure (including usage errors), an
+output path that cannot be written, or stdout closed early, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

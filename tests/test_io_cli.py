@@ -504,6 +504,23 @@ def test_cli_validation_failure_exit_1(tmp_path, capsys):
         assert rc == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not bad_w.exists() and not bad_x.exists()
+    # output paths that cannot be written: exit 1 with a message, no traceback
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(_doc(seeds=[0])))
+    capsys.readouterr()
+    for argv in (
+        ["gen", "--d-in", "8", "--d-out", "4", "--d-batch", "8",
+         "--weights", str(tmp_path / "no_dir" / "w.wten"),
+         "--activations", str(tmp_path / "x2.wten")],
+        ["plan", "--weights", w_path, "--activations", x_path, "--kind", "h",
+         "--scheme", "int4", "--out-dir", str(a_file / "plan")],
+        ["sweep", "--config", str(cfg_path), "--output", str(tmp_path / "no_dir" / "o.csv")],
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):
