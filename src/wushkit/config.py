@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InvalidSpec
+from .linalg import _check_seed
 from .pipeline import SyntheticSpec, gen_synthetic
 from .quantformats import ROUNDING_NAMES, scheme_by_name
 from .tensorio import read_tensor
@@ -118,8 +119,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise InvalidSpec("seeds: list is empty")
         for i, seed in enumerate(self.seeds):
-            if seed < 0:
-                raise InvalidSpec(f"seeds[{i}]: must be >= 0, got {seed}")
+            _check_seed(seed, f"seeds[{i}]")
         if not 0 <= self.damp < math.inf:
             raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
         if self.rounding not in ROUNDING_NAMES:

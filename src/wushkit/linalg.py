@@ -10,16 +10,21 @@ to the exact Hadamard transform), eigenvalues are sorted descending with a
 stable sort, and each eigenvector's sign is fixed by its largest entry.
 Results are deterministic for a given LAPACK build; across builds and
 platforms they may differ in the last bits.
+
+The private ``_as_finite`` and ``_check_seed`` are the package's one check of
+an input array (float64, dimension count, finite entries) and of a seed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import (
+    InvalidSpec,
     NaNInput,
     NoConvergence,
     NotPositiveDefinite,
@@ -49,6 +54,12 @@ def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NaNInput(f"{name} contains non-finite values")
     return a
+
+
+def _check_seed(seed, name: str = "seed") -> None:
+    """Refuse a seed numpy would reject: negative, non-integer or boolean."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidSpec(f"{name} must be a non-negative integer, got {seed!r}")
 
 
 def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
@@ -151,6 +162,7 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ShapeMismatch(f"rotation size must be >= 1, got {d}")
+    _check_seed(seed)
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
 

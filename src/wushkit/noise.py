@@ -30,7 +30,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch, ValidationError
-from .linalg import _as_finite, _as_square, cholesky, invert, random_rotation
+from .linalg import (
+    _as_finite, _as_square, _check_seed, cholesky, invert, random_rotation,
+)
 
 _LN2 = math.log(2.0)
 
@@ -181,6 +183,7 @@ def one_sided_loss_mc(
     """
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
+    _check_seed(seed)
     t_arr = _as_square(t, "transform")
     d = t_arr.shape[0]
     chol = cholesky(moment)
@@ -238,8 +241,9 @@ def random_spd_moment(d: int, seed: int, spread: float = 1.0):
     ``s**2``).  ``spread`` is the log-space sigma: 0 gives the identity
     spectrum, larger values give stronger anisotropy.
     """
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
+    _check_seed(seed)
     if not 0.0 <= spread < math.inf:
         raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
     rot_seed_ss, eig_ss = np.random.SeedSequence(seed).spawn(2)

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
-from .linalg import _as_finite, random_rotation
+from .linalg import _as_finite, _check_seed, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 from .transforms import DEFAULT_DAMP, LayerPlan, build_layer_plan
 
@@ -66,8 +66,7 @@ class SyntheticSpec:
             raise InvalidSpec("outlier_count must be in [0, d_in]")
         if self.outlier_count and not 0.0 < self.outlier_magnitude < math.inf:
             raise InvalidSpec("outlier_magnitude must be positive and finite")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
 
     def eigenvalues(self) -> np.ndarray:
         if self.spectrum_values is not None:

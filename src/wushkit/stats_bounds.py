@@ -52,6 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec, ValidationError
+from .linalg import _check_seed
 
 FAMILIES = ("gaussian", "laplacian")
 COV_STRUCTURES = ("iid", "correlated")
@@ -317,6 +318,7 @@ def mc_max_sq(
         raise InvalidSpec(f"dimension must be an integer >= 1, got {d!r}")
     if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
         raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
+    _check_seed(seed)
     if not 0.0 <= rho < 1.0:
         raise InvalidCovariance(f"rho must lie in [0, 1), got {rho}")
     if not 0.0 < var < math.inf:

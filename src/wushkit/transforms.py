@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidSpec, NotPositiveDefinite, ShapeMismatch
 from .linalg import (
-    _as_finite, cholesky, hadamard, invert, random_rotation, sym_eigen,
+    _as_finite, _check_seed, cholesky, hadamard, invert, random_rotation, sym_eigen,
 )
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 
@@ -151,12 +151,14 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
     transpose of an orthogonal matrix is itself): ``i`` and ``h`` broadcast
     one read-only matrix over the stack, and ``r`` gives block ``i`` the
     rotation seeded by child ``i`` of ``SeedSequence(seed)``; ``seed`` only
-    matters for ``r``.  The adaptive kinds invert numerically.
+    matters for ``r``, but must be a non-negative integer for every kind.
+    The adaptive kinds invert numerically.
     """
     if kind not in TRANSFORM_KINDS:
         raise InvalidSpec(
             f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}"
         )
+    _check_seed(seed)
     mw = _as_finite(m_w, "m_w", ndim=3)
     mx = _as_finite(m_x, "m_x", ndim=3)
     if mw.shape != mx.shape or mw.shape[1] != mw.shape[2] or mw.shape[0] < 1:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wushkit import (
+    InvalidSpec,
     NaNInput,
     NoConvergence,
     NotPositiveDefinite,
@@ -190,6 +191,9 @@ def test_random_rotation_seeding():
     a = random_rotation(16, seed=1)
     np.testing.assert_array_equal(a, random_rotation(16, seed=1))
     assert not np.array_equal(a, random_rotation(16, seed=2))
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidSpec, match="seed"):
+            random_rotation(4, seed)
 
 
 # ------------------------------------------------------------------ invert

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wushkit import noise
-from wushkit.errors import NaNInput, OutOfRange, ShapeMismatch, ValidationError
+from wushkit.errors import InvalidSpec, NaNInput, OutOfRange, ShapeMismatch, ValidationError
 from wushkit.linalg import hadamard, random_rotation
 
 LN2 = math.log(2.0)
@@ -240,6 +240,9 @@ def test_mc_validation():
         noise.one_sided_loss_mc(np.full((2, 2), np.nan), np.eye(2), noise.IntAbsmax(4), 10, seed=0)
     with pytest.raises(ValidationError, match="integer"):
         noise.one_sided_loss_mc(np.eye(2), np.eye(2), noise.IntAbsmax(4), 10.5, seed=0)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidSpec, match="seed"):
+            noise.one_sided_loss_mc(np.eye(2), np.eye(2), noise.IntAbsmax(4), 10, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,3 +309,7 @@ def test_random_spd_moment_validation():
     for spread in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="spread"):
             noise.random_spd_moment(3, seed=1, spread=spread)
+    with pytest.raises(InvalidSpec, match="seed"):
+        noise.random_spd_moment(4, -1)
+    with pytest.raises(ValidationError, match="integer"):
+        noise.random_spd_moment(4.5, 0)

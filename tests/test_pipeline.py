@@ -117,8 +117,9 @@ def test_synthetic_spec_validation():
         _spec(d_in=0)
     with pytest.raises(InvalidSpec):
         _spec(tail="cauchy")
-    with pytest.raises(InvalidSpec, match="seed"):
-        _spec(seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidSpec, match="seed"):
+            _spec(seed=seed)
     for dof in (2.0, np.inf, np.nan):
         with pytest.raises(InvalidSpec, match="dof"):
             _spec(tail="student_t", tail_dof=dof)
@@ -224,6 +225,11 @@ def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
         pl.evaluate(plan, w_tall, x_tall)
     with pytest.raises(ShapeMismatch):
         pl.evaluate(plan, w, x[:, :0])
+    # a negative seed is refused for every kind, stochastic rounding or not
+    for kind, scheme in (("h", int4_scheme()), ("r", int4_scheme()),
+                         ("wush", int4_scheme(rounding=ROUND_STOCHASTIC))):
+        with pytest.raises(InvalidSpec, match="seed"):
+            pl.layer_loss(w, x, kind, scheme, seed=-1)
 
 
 SCHEMES = {

@@ -149,6 +149,9 @@ def test_mc_validation():
         sb.mc_max_sq("gaussian", 4.5)
     with pytest.raises(ValidationError, match="integer"):
         sb.mc_max_sq("gaussian", 4, n_samples=10.5)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidSpec, match="seed"):
+            sb.mc_max_sq("gaussian", 4, seed=seed)
 
 
 # ---------------------------------------------------------------------------
