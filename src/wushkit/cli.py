@@ -244,6 +244,7 @@ def _cmd_validate(args) -> int:
     chain = int_bounds(s, np.sqrt(s))
     scaled = est.value / model.eta_second_moment()
     refined = (2.0 * math.log(2.0 * d) + 2.0) / d * float(s.sum()) ** 2
+    print("model:         IntAbsmax(4), midrise step absmax/8 (not the int4 preset)")
     print(f"d:             {d}")
     print(f"mc_loss/eta2:  {format_float(scaled)}")
     print(f"lower_bound:   {format_float(chain.lower)}")

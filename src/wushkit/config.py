@@ -3,7 +3,11 @@
 The schema is closed — unknown keys are rejected with their dotted field
 path — and nothing is applied silently: every default lands in the resolved
 dictionary that gets echoed into the CSV header, so an output file always
-records the exact experiment that produced it.
+records the exact experiment that produced it.  ``ExperimentConfig`` itself
+enforces the schema's types and values, so a config built in Python is held
+to the same rules as one parsed from JSON; ``parse_config`` adds only the
+closed key set.  ``null`` is allowed only where a field defaults to None
+(``group_size`` and ``output``), and JSON lists are stored as tuples.
 
 Example document::
 

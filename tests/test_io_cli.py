@@ -431,6 +431,7 @@ def test_cli_validate_fp_and_int(capsys):
     assert cli.main(["validate", "int", "--d", "16", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
     assert "verdict:       ok" in out
+    assert "model:         IntAbsmax(4), midrise step absmax/8" in out
 
 
 def test_cli_bounds_table(capsys):
