@@ -6,8 +6,11 @@ dictionary that gets echoed into the CSV header, so an output file always
 records the exact experiment that produced it.  ``ExperimentConfig`` itself
 enforces the schema's types and values, so a config built in Python is held
 to the same rules as one parsed from JSON; ``parse_config`` adds only the
-closed key set.  ``null`` is allowed only where a field defaults to None
-(``group_size`` and ``output``), and JSON lists are stored as tuples.
+closed key set.  A ``data.synthetic`` block is a ``SyntheticSpec`` without
+its seed: the spec checks its own fields, and the echo lists all of them.
+Integers and reals may be numpy scalars (``linalg._want`` is the one rule).
+``null`` is allowed only where a field defaults to None (``group_size``,
+``output`` and ``spectrum_values``), and JSON lists are stored as tuples.
 
 Example document::
 
@@ -30,67 +33,40 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .errors import InvalidSpec
-from .linalg import _check_seed
+from .errors import InvalidSpec, ValidationError
+from .linalg import _check_seed, _want, _want_fields
 from .pipeline import SyntheticSpec, gen_synthetic
 from .quantformats import ROUNDING_NAMES, scheme_by_name
 from .tensorio import read_tensor
 from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
-# SyntheticSpec fields settable from a config; seed is excluded on purpose.
-# spectrum_values is a list of numbers, or null.
-_SYNTH_FIELDS = {
-    "d_in": int,
-    "d_out": int,
-    "d_batch": int,
-    "spectrum_power": float,
-    "spectrum_values": float,
-    "tail": str,
-    "tail_dof": float,
-    "outlier_count": int,
-    "outlier_magnitude": float,
-}
 
-
-def _want(path: str, value, kind):
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidSpec(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidSpec(f"{path}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kind):
-        raise InvalidSpec(
-            f"{path}: expected {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _want_list(path: str, value, kind) -> tuple:
-    """A JSON list (or a tuple) whose items are all ``kind``, as a tuple."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidSpec(f"{path}: expected list, got {type(value).__name__}")
-    return tuple(_want(f"{path}[{i}]", v, kind) for i, v in enumerate(value))
-
-
-def _reject_unknown(path: str, doc: dict, allowed) -> None:
+def _check_keys(path: str, doc: dict, allowed, required) -> None:
+    """Refuse a key of ``doc`` not in ``allowed``, and a missing ``required`` one."""
     for key in doc:
         if key not in allowed:
             raise InvalidSpec(f"{path}{key}: unknown key")
+    for key in required:
+        if key not in doc:
+            raise InvalidSpec(f"{path}{key}: missing required key")
+
+
+def _keys(cls, skip: str):
+    """The names of ``cls``'s fields but ``skip``, and of those without a default."""
+    names = [f for f in fields(cls) if f.name != skip]
+    return [f.name for f in names], [f.name for f in names if f.default is MISSING]
 
 
 @dataclass
 class ExperimentConfig:
     data: dict
-    transforms: tuple
-    schemes: tuple
-    seeds: tuple
+    transforms: tuple[str, ...]
+    schemes: tuple[str, ...]
+    seeds: tuple[int, ...]
     damp: float = DEFAULT_DAMP
     group_size: Optional[int] = None
     rounding: str = "nearest"
@@ -99,16 +75,7 @@ class ExperimentConfig:
     base_dir: Path = Path(".")
 
     def __post_init__(self):
-        self.transforms = _want_list("transforms", self.transforms, str)
-        self.schemes = _want_list("schemes", self.schemes, str)
-        self.seeds = _want_list("seeds", self.seeds, int)
-        self.damp = _want("damp", self.damp, float)
-        if self.group_size is not None:
-            _want("group_size", self.group_size, int)
-        _want("rounding", self.rounding, str)
-        _want("r_repeats", self.r_repeats, int)
-        if self.output is not None:
-            _want("output", self.output, str)
+        _want_fields(self)
         self.data = _parse_data(self.data)
         if not self.transforms:
             raise InvalidSpec("transforms: list is empty")
@@ -134,10 +101,7 @@ class ExperimentConfig:
         if self.r_repeats < 1:
             raise InvalidSpec(f"r_repeats: must be >= 1, got {self.r_repeats}")
         self._tensor_cache = None
-        # Trigger validation of the data block, every scheme name and the
-        # group size now, before any computation starts.
-        self._synth_spec(seed=0)
-        self.resolved_schemes()
+        self.resolved_schemes()  # every scheme name and the group size
 
     # -- data ---------------------------------------------------------------
 
@@ -147,11 +111,6 @@ class ExperimentConfig:
             return "synthetic"
         return Path(self.data["tensors"]["weights"]).stem
 
-    def _synth_spec(self, seed: int) -> Optional[SyntheticSpec]:
-        if "synthetic" not in self.data:
-            return None
-        return SyntheticSpec(seed=seed, **self.data["synthetic"])
-
     def load_data(self, seed: int):
         """Return the ``(w, x)`` pair for one sweep cell.
 
@@ -160,9 +119,8 @@ class ExperimentConfig:
         and shared (the seed then only drives rotations and stochastic
         rounding).
         """
-        spec = self._synth_spec(seed)
-        if spec is not None:
-            return gen_synthetic(spec)
+        if "synthetic" in self.data:
+            return gen_synthetic(SyntheticSpec(seed=seed, **self.data["synthetic"]))
         if self._tensor_cache is None:
             paths = self.data["tensors"]
             self._tensor_cache = (
@@ -189,9 +147,9 @@ class ExperimentConfig:
     def resolved_dict(self) -> dict:
         """The full configuration with every default made explicit."""
         out = {}
-        for f in _doc_fields():
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
+        for name in _keys(ExperimentConfig, "base_dir")[0]:
+            value = getattr(self, name)
+            out[name] = list(value) if isinstance(value, tuple) else value
         return out
 
     def echo_lines(self) -> list:
@@ -210,21 +168,17 @@ def _parse_data(doc) -> dict:
                 "data.synthetic.seed: cell seeds come from the top-level "
                 "'seeds' list"
             )
-        _reject_unknown("data.synthetic.", synth, _SYNTH_FIELDS)
-        clean = {}
-        for key, value in synth.items():
-            path, kind = f"data.synthetic.{key}", _SYNTH_FIELDS[key]
-            if key != "spectrum_values":
-                clean[key] = _want(path, value, kind)
-            else:
-                clean[key] = None if value is None else _want_list(path, value, kind)
-        return {"synthetic": clean}
+        _check_keys("data.synthetic.", synth, *_keys(SyntheticSpec, "seed"))
+        try:
+            spec = SyntheticSpec(seed=0, **synth)
+        except ValidationError as exc:
+            raise type(exc)(f"data.synthetic.{exc}") from None
+        return {"synthetic": {k: v for k, v in asdict(spec).items() if k != "seed"}}
     if set(data) == {"tensors"}:
         tensors = _want("data.tensors", data["tensors"], dict)
-        _reject_unknown("data.tensors.", tensors, ("weights", "activations"))
-        for key in ("weights", "activations"):
-            if key not in tensors:
-                raise InvalidSpec(f"data.tensors.{key}: missing")
+        paths = ("weights", "activations")
+        _check_keys("data.tensors.", tensors, paths, paths)
+        for key in paths:
             _want(f"data.tensors.{key}", tensors[key], str)
         return {"tensors": dict(tensors)}
     raise InvalidSpec(
@@ -233,19 +187,10 @@ def _parse_data(doc) -> dict:
     )
 
 
-def _doc_fields() -> list:
-    """The config document's keys: every field but ``base_dir``."""
-    return [f for f in fields(ExperimentConfig) if f.name != "base_dir"]
-
-
 def parse_config(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     """Validate a decoded JSON document into an :class:`ExperimentConfig`."""
     top = _want("config", doc, dict)
-    keys = _doc_fields()
-    _reject_unknown("", top, [f.name for f in keys])
-    for f in keys:
-        if f.default is MISSING and f.name not in top:
-            raise InvalidSpec(f"{f.name}: missing required key")
+    _check_keys("", top, *_keys(ExperimentConfig, "base_dir"))
     return ExperimentConfig(**top, base_dir=Path(base_dir))
 
 

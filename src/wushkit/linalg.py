@@ -11,15 +11,20 @@ stable sort, and each eigenvector's sign is fixed by its largest entry.
 Results are deterministic for a given LAPACK build; across builds and
 platforms they may differ in the last bits.
 
-The private ``_as_finite`` and ``_check_seed`` are the package's one check of
-an input array (float64, dimension count, finite entries) and of a seed.
+The private ``_want`` is the package's one scalar check: every public entry
+reads its integer, real, string and list parameters through it, a
+dataclass through ``_want_fields`` (its annotations are its schema), and a
+seed through ``_check_seed``, which adds only the sign rule.
+``_as_finite`` is the one check of an input array (float64, dimension
+count, finite entries).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple, Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,10 +61,48 @@ def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
     return a
 
 
-def _check_seed(seed, name: str = "seed") -> None:
-    """Refuse a seed numpy would reject: negative, non-integer or boolean."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidSpec(f"{name} must be a non-negative integer, got {seed!r}")
+def _want(name: str, value, kind, error=InvalidSpec, low=None):
+    """``value`` as ``kind``, or ``error`` naming ``name``.  ``int`` is any
+    integral number, ``float`` any real one, neither a bool (numpy's
+    included) and both at least ``low`` if it is given; ``tuple[item, ...]``
+    is a list, tuple or 1-D array of items; other kinds are ``isinstance``."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise error(f"{name}: expected list, got {type(value).__name__}")
+        item = get_args(kind)[0]
+        return tuple(_want(f"{name}[{i}]", v, item, error, low) for i, v in enumerate(value))
+    if kind is int or kind is float:
+        ok = isinstance(value, numbers.Integral if kind is int else numbers.Real)
+        if isinstance(value, bool) or not ok or not (low is None or value >= low):
+            what = "an integer" if kind is int else "a number"
+            at_least = "" if low is None else f" >= {low}"
+            raise error(f"{name}: expected {what}{at_least}, got {value!r}")
+        return kind(value)
+    if not isinstance(value, kind):
+        raise error(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+_hints = lru_cache(maxsize=None)(get_type_hints)  # a class's resolved annotations
+
+
+def _want_fields(obj) -> None:
+    """Pass each field of the dataclass ``obj`` annotated ``int``, ``float``,
+    ``str`` or ``tuple[item, ...]`` through ``_want`` and store the result;
+    under ``Optional`` None passes.  Other fields are the caller's."""
+    for name, kind in _hints(type(obj)).items():
+        value = getattr(obj, name)
+        if type(None) in get_args(kind):
+            if value is None:
+                continue
+            kind = get_args(kind)[0]
+        if kind in (int, float, str) or get_origin(kind) is tuple:
+            object.__setattr__(obj, name, _want(name, value, kind))
+
+
+def _check_seed(seed, name: str = "seed") -> int:
+    """A seed numpy accepts: a non-negative integer, returned as ``int``."""
+    return _want(name, seed, int, low=0)
 
 
 def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
@@ -143,7 +186,8 @@ def hadamard(d: int) -> np.ndarray:
     Only powers of two are constructible; anything else raises
     :class:`NotPowerOfTwo`.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1 or (d & (d - 1)) != 0:
+    d = _want("Hadamard size", d, int, NotPowerOfTwo)
+    if d < 1 or (d & (d - 1)) != 0:
         raise NotPowerOfTwo(f"Hadamard size must be a positive power of 2, got {d}")
     h = np.array([[1.0]])
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -160,9 +204,8 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
     sign fix the Householder signs leak into Q and it is not Haar (Mezzadri,
     arXiv:math-ph/0609050).
     """
-    if d < 1:
-        raise ShapeMismatch(f"rotation size must be >= 1, got {d}")
-    _check_seed(seed)
+    d = _want("rotation size", d, int, ShapeMismatch, low=1)
+    seed = _check_seed(seed)
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
 

@@ -23,7 +23,6 @@ by straight Monte Carlo for cross-checking the algebra.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -31,7 +30,8 @@ import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch, ValidationError
 from .linalg import (
-    _as_finite, _as_square, _check_seed, cholesky, invert, random_rotation,
+    _as_finite, _as_square, _check_seed, _want, _want_fields, cholesky, invert,
+    random_rotation,
 )
 
 _LN2 = math.log(2.0)
@@ -49,6 +49,7 @@ class FpRelative:
     scale_mant_bits: int
 
     def __post_init__(self):
+        _want_fields(self)
         if self.mant_bits < 0 or self.scale_mant_bits < 0:
             raise ValidationError("mantissa bit counts must be >= 0")
 
@@ -73,6 +74,7 @@ class IntAbsmax:
     bits: int
 
     def __post_init__(self):
+        _want_fields(self)
         if self.bits < 2:
             raise ValidationError("integer noise model needs bits >= 2")
 
@@ -181,8 +183,7 @@ def one_sided_loss_mc(
     the sample mean and its standard error.  Singular transforms and
     non-positive-definite moments raise through :func:`~wushkit.linalg`.
     """
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
-        raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
+    _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)
     t_arr = _as_square(t, "transform")
     d = t_arr.shape[0]
@@ -241,10 +242,9 @@ def random_spd_moment(d: int, seed: int, spread: float = 1.0):
     ``s**2``).  ``spread`` is the log-space sigma: 0 gives the identity
     spectrum, larger values give stronger anisotropy.
     """
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise ValidationError(f"dimension must be an integer >= 1, got {d!r}")
+    _want("dimension", d, int, low=1)
     _check_seed(seed)
-    if not 0.0 <= spread < math.inf:
+    if not 0.0 <= _want("spread", spread, float) < math.inf:
         raise ValidationError(f"spread must be finite and nonnegative, got {spread}")
     rot_seed_ss, eig_ss = np.random.SeedSequence(seed).spawn(2)
     lam = np.exp(

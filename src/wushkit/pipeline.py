@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
-from .linalg import _as_finite, _check_seed, random_rotation
+from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 from .transforms import DEFAULT_DAMP, LayerPlan, build_layer_plan
 
@@ -48,7 +48,7 @@ class SyntheticSpec:
     d_out: int
     d_batch: int
     spectrum_power: float = 1.0  # covariance eigenvalue decay (k+1)**-p
-    spectrum_values: Optional[tuple] = None  # explicit eigenvalues instead
+    spectrum_values: Optional[tuple[float, ...]] = None  # explicit eigenvalues instead
     tail: str = "student_t"
     tail_dof: float = 4.0
     outlier_count: int = 0  # outlier entries injected per activation column
@@ -56,29 +56,30 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.d_in, self.d_out, self.d_batch) < 1:
-            raise InvalidSpec("synthetic dims must all be >= 1")
-        if self.tail not in SYNTH_TAILS:
-            raise InvalidSpec(f"tail must be one of {SYNTH_TAILS}, got {self.tail!r}")
-        if self.tail == "student_t" and not 2.0 < self.tail_dof < math.inf:
-            raise InvalidSpec("student_t tail needs a finite tail_dof > 2 for finite variance")
-        if not 0 <= self.outlier_count <= self.d_in:
-            raise InvalidSpec("outlier_count must be in [0, d_in]")
-        if self.outlier_count and not 0.0 < self.outlier_magnitude < math.inf:
-            raise InvalidSpec("outlier_magnitude must be positive and finite")
+        """Checks each field and stores it as its annotated type."""
+        _want_fields(self)
         _check_seed(self.seed)
+        if min(self.d_in, self.d_out, self.d_batch) < 1:
+            raise InvalidSpec("d_in, d_out, d_batch: synthetic dims must all be >= 1")
+        if self.tail not in SYNTH_TAILS:
+            raise InvalidSpec(f"tail: must be one of {SYNTH_TAILS}, got {self.tail!r}")
+        if self.tail == "student_t" and not 2.0 < self.tail_dof < math.inf:
+            raise InvalidSpec("tail_dof: student_t needs a finite tail_dof > 2 for finite variance")
+        if not 0 <= self.outlier_count <= self.d_in:
+            raise InvalidSpec("outlier_count: must be in [0, d_in]")
+        if self.outlier_count and not 0.0 < self.outlier_magnitude < math.inf:
+            raise InvalidSpec("outlier_magnitude: must be positive and finite")
+        self.eigenvalues()
 
     def eigenvalues(self) -> np.ndarray:
         if self.spectrum_values is not None:
-            lam = np.asarray(self.spectrum_values, dtype=np.float64)
+            name, lam = "spectrum_values", np.asarray(self.spectrum_values)
             if lam.size != self.d_in:
-                raise InvalidCovariance(
-                    f"spectrum has {lam.size} values but d_in = {self.d_in}"
-                )
+                raise InvalidCovariance(f"{name}: {lam.size} values but d_in = {self.d_in}")
         else:
-            lam = (np.arange(self.d_in) + 1.0) ** -float(self.spectrum_power)
+            name, lam = "spectrum_power", (np.arange(self.d_in) + 1.0) ** -self.spectrum_power
         if not np.isfinite(lam).all() or np.any(lam <= 0.0):
-            raise InvalidCovariance("covariance spectrum must be positive and finite")
+            raise InvalidCovariance(f"{name}: the covariance spectrum must be positive and finite")
         return lam / lam.mean()  # normalize to unit mean variance
 
 
@@ -279,8 +280,7 @@ def sweep_cell(
     seeded rotations; every other kind is deterministic given the seed, so
     repeats would be identical and are skipped.
     """
-    if r_repeats < 1:
-        raise InvalidSpec(f"r_repeats must be >= 1, got {r_repeats}")
+    _want("r_repeats", r_repeats, int, low=1)
     reps = r_repeats if kind == "r" else 1
     reports = [
         layer_loss(w, x, kind, scheme, damp, _repeat_seed(seed, rep))

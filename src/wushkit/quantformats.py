@@ -41,7 +41,6 @@ a Gaussian mean-squared-error clipping factor derived in ``_clip_derivation``).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -49,7 +48,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
-from .linalg import _as_finite
+from .linalg import _as_finite, _want_fields
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
 
@@ -78,6 +77,7 @@ class FpFormat:
     name: str = ""
 
     def __post_init__(self):
+        _want_fields(self)
         if self.exp_bits < 1:
             raise InvalidSpec("exp_bits must be >= 1 (no exponent-free formats)")
         if self.mant_bits < 0:
@@ -100,6 +100,7 @@ class IntSpec:
     bits: int
 
     def __post_init__(self):
+        _want_fields(self)
         if not 2 <= self.bits <= 26:
             raise InvalidSpec(f"integer bits must be in [2, 26], got {self.bits}")
 
@@ -241,6 +242,7 @@ class QuantScheme:
     name: str = ""
 
     def __post_init__(self):
+        _want_fields(self)
         if self.group_size not in VALID_GROUP_SIZES:
             raise InvalidSpec(
                 f"group_size must be one of {VALID_GROUP_SIZES}, got {self.group_size}"

@@ -46,13 +46,12 @@ reference the tests compare against.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec, ValidationError
-from .linalg import _check_seed
+from .linalg import _check_seed, _want
 
 FAMILIES = ("gaussian", "laplacian")
 COV_STRUCTURES = ("iid", "correlated")
@@ -64,9 +63,9 @@ SURVIVAL_HI_SIGMA = 12.0
 
 
 def _check_bound_args(d: float, max_var: float) -> None:
-    if not 1 <= d < math.inf:
+    if not 1 <= _want("dimension", d, float) < math.inf:
         raise InvalidSpec(f"dimension must be finite and >= 1, got {d}")
-    if not 0 <= max_var < math.inf:
+    if not 0 <= _want("max_var", max_var, float, InvalidCovariance) < math.inf:
         raise InvalidCovariance(f"variance must be finite and nonnegative, got {max_var}")
 
 
@@ -314,14 +313,12 @@ def mc_max_sq(
         raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
     if cov not in COV_STRUCTURES:
         raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {cov!r}")
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise InvalidSpec(f"dimension must be an integer >= 1, got {d!r}")
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 2:
-        raise ValidationError(f"need an integer number of samples >= 2, got {n_samples!r}")
+    _want("dimension", d, int, low=1)
+    _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)
-    if not 0.0 <= rho < 1.0:
+    if not 0.0 <= _want("rho", rho, float, InvalidCovariance) < 1.0:
         raise InvalidCovariance(f"rho must lie in [0, 1), got {rho}")
-    if not 0.0 < var < math.inf:
+    if not 0.0 < _want("var", var, float, InvalidCovariance) < math.inf:
         raise InvalidCovariance(f"var must be positive and finite, got {var}")
     rng = np.random.default_rng(seed)
     n_uniforms = _N_UNIFORMS[family, cov]

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import InvalidSpec, NotPositiveDefinite, ShapeMismatch
 from .linalg import (
-    _as_finite, _check_seed, cholesky, hadamard, invert, random_rotation, sym_eigen,
+    _as_finite, _check_seed, _want, cholesky, hadamard, invert, random_rotation,
+    sym_eigen,
 )
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 
@@ -104,9 +105,11 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
         )
     if w_arr.shape[1] < 1 or x_arr.shape[1] < 1:
         raise ShapeMismatch("need at least one weight column and one sample")
+    damp = _want("damp", damp, float)
     if not 0.0 <= damp < np.inf:
         raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
     d_in = w_arr.shape[0]
+    d = _want("block size", d, int, ShapeMismatch)
     if d < 1 or d_in % d != 0:
         raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
 
