@@ -41,7 +41,10 @@ MAX_ELEMENTS = 1 << 32
 
 
 def write_tensor(path, m, dtype: str = "f64") -> None:
-    """Write an array to ``path``; ``dtype`` is ``"f64"`` or ``"f32"``."""
+    """Write an array to ``path``; ``dtype`` is ``"f64"`` or ``"f32"``.
+
+    The array must be bool, integer or real: complex, string and object
+    arrays are refused rather than cast (a cast would drop data)."""
     arr = np.ascontiguousarray(m)
     if dtype == "f64":
         code = DTYPE_F64
@@ -49,6 +52,8 @@ def write_tensor(path, m, dtype: str = "f64") -> None:
         code = DTYPE_F32
     else:
         raise InvalidSpec(f"dtype must be 'f32' or 'f64', got {dtype!r}")
+    if arr.dtype.kind not in "biuf":
+        raise InvalidSpec(f"tensor must be bool, integer or real, got dtype {arr.dtype}")
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise DimOverflow(f"ndim must be in [1, {MAX_NDIM}], got {arr.ndim}")
     if arr.size > MAX_ELEMENTS:
