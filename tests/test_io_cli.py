@@ -1,5 +1,6 @@
 """Tensor files, experiment configs, and the command-line front end."""
 
+import dataclasses
 import io
 import json
 import os
@@ -23,12 +24,13 @@ from wushkit.config import (
 from wushkit.errors import (
     BadMagic,
     DimOverflow,
+    InvalidCovariance,
     InvalidSpec,
     TruncatedPayload,
     UnsupportedVersion,
     ValidationError,
 )
-from wushkit.pipeline import SweepRow
+from wushkit.pipeline import SweepRow, SyntheticSpec
 from wushkit.quantformats import nvfp4_scheme
 from wushkit.transforms import build_layer_plan
 
@@ -82,6 +84,11 @@ def test_tensor_write_validation(tmp_path):
         tensorio.write_tensor(tmp_path / "x.wten", np.ones((2, 2)), dtype="f16")
     with pytest.raises(DimOverflow):
         tensorio.write_tensor(tmp_path / "x.wten", np.zeros((1,) * 9))  # ndim > 8
+    # a cast would drop the imaginary part or fail inside numpy
+    for bad in (np.ones((2, 2)) * (1 + 2j), np.array(["1.0", "2.0"])):
+        with pytest.raises(InvalidSpec, match="dtype"):
+            tensorio.write_tensor(tmp_path / "bad.wten", bad)
+        assert not (tmp_path / "bad.wten").exists()
 
 
 def test_tensor_read_missing_file(tmp_path):
@@ -164,6 +171,12 @@ def test_config_defaults_resolved():
     (line,) = cfg.echo_lines()
     assert line.startswith("config: {")
     assert json.loads(line[len("config: "):]) == resolved
+    # the synthetic defaults are echoed too, and the echo parses back to itself
+    synth_fields = {f.name for f in dataclasses.fields(SyntheticSpec)} - {"seed"}
+    assert set(resolved["data"]["synthetic"]) == synth_fields
+    assert resolved["data"]["synthetic"]["spectrum_power"] == 1.0
+    again = parse_config(json.loads(line[len("config: "):]))
+    assert again.resolved_dict() == resolved
 
 
 def test_config_unknown_keys_rejected_with_path():
@@ -203,6 +216,10 @@ def test_config_type_errors():
         parse_config(_doc(data={}))
     with pytest.raises(InvalidSpec, match="missing required key"):
         parse_config({k: v for k, v in _doc().items() if k != "seeds"})
+    # the spectrum is checked against d_in = 64 here, not first in load_data
+    bad = {"synthetic": {"d_in": 64, "d_out": 8, "d_batch": 64, "spectrum_values": [1.0, 2.0, 3.0]}}
+    with pytest.raises(InvalidCovariance, match="data.synthetic.spectrum_values"):
+        parse_config(_doc(data=bad))
 
 
 def test_config_constructor_enforces_types():
@@ -222,6 +239,14 @@ def test_config_constructor_enforces_types():
             ExperimentConfig(**dict(base, **overrides))
     cfg = ExperimentConfig(**dict(base, transforms=["i"], damp=1))
     assert cfg.transforms == ("i",) and cfg.damp == 1.0 and type(cfg.damp) is float
+    # numpy scalars are accepted, stored as int and float, and echo as JSON
+    cfg = ExperimentConfig(**dict(base, seeds=(np.int64(3),), damp=np.float32(0.5),
+                                  group_size=np.int64(16), r_repeats=np.int64(2)))
+    assert (cfg.seeds, cfg.damp, cfg.group_size, cfg.r_repeats) == ((3,), 0.5, 16, 2)
+    assert [type(v) for v in (cfg.seeds[0], cfg.damp, cfg.group_size, cfg.r_repeats)] == [
+        int, float, int, int
+    ]
+    assert json.loads(cfg.echo_lines()[0][len("config: "):])["seeds"] == [3]
 
 
 def test_config_overrides_flow_into_schemes():

@@ -158,10 +158,15 @@ def test_hadamard_orthogonal_uniform_entries(d):
     np.testing.assert_allclose(np.abs(h), np.full((d, d), d ** -0.5), rtol=1e-15)
 
 
-@pytest.mark.parametrize("d", [0, 3, 6, 12, -4])
+@pytest.mark.parametrize("d", [0, 3, 6, 12, -4, True, 4.5, np.float64(4)])
 def test_hadamard_rejects_non_power_of_two(d):
+    # anything but a positive power-of-two integer: bools and floats too
     with pytest.raises(NotPowerOfTwo):
         hadamard(d)
+
+
+def test_hadamard_accepts_numpy_integers():
+    np.testing.assert_array_equal(hadamard(np.int64(4)), hadamard(4))
 
 
 # --------------------------------------------------------- random_rotation
@@ -194,6 +199,9 @@ def test_random_rotation_seeding():
     for seed in (-1, 1.5):
         with pytest.raises(InvalidSpec, match="seed"):
             random_rotation(4, seed)
+    for d in (4.5, True, "4"):
+        with pytest.raises(ShapeMismatch, match="rotation size"):
+            random_rotation(d, 0)
 
 
 # ------------------------------------------------------------------ invert

@@ -33,6 +33,12 @@ def test_model_validation():
         noise.FpRelative(-1, 0)
     with pytest.raises(ValidationError):
         noise.IntAbsmax(1)
+    for bits in ((1.5, 2), (True, 2)):
+        with pytest.raises(InvalidSpec, match="mant_bits"):
+            noise.FpRelative(*bits)
+    for bits in (4.5, "4"):
+        with pytest.raises(InvalidSpec, match="bits"):
+            noise.IntAbsmax(bits)
 
 
 @pytest.mark.parametrize(
@@ -311,5 +317,9 @@ def test_random_spd_moment_validation():
             noise.random_spd_moment(3, seed=1, spread=spread)
     with pytest.raises(InvalidSpec, match="seed"):
         noise.random_spd_moment(4, -1)
-    with pytest.raises(ValidationError, match="integer"):
-        noise.random_spd_moment(4.5, 0)
+    for d in (4.5, True):
+        with pytest.raises(ValidationError, match="integer"):
+            noise.random_spd_moment(d, 0)
+    for spread in ("1", True):
+        with pytest.raises(ValidationError, match="spread"):
+            noise.random_spd_moment(3, seed=1, spread=spread)

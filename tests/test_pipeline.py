@@ -132,6 +132,19 @@ def test_synthetic_spec_validation():
         pl.gen_synthetic(_spec(spectrum_values=(1.0, 2.0)))
     with pytest.raises(InvalidCovariance):
         pl.gen_synthetic(_spec(spectrum_values=(0.0,) * 64))
+    # every field has its type checked when the spec is built, bools included
+    for field, value in (("d_in", 64.5), ("d_in", "64"), ("d_in", True),
+                         ("tail_dof", "4"), ("outlier_count", True),
+                         ("spectrum_power", "1"), ("spectrum_values", ("1",) * 64)):
+        with pytest.raises(InvalidSpec, match=field):
+            _spec(**{field: value})
+    # so is the spectrum, not first in gen_synthetic
+    with pytest.raises(InvalidCovariance, match="spectrum_values"):
+        _spec(spectrum_values=(1.0, 2.0, 3.0))
+    # numpy scalars are accepted and stored as int and float
+    spec = _spec(d_in=np.int64(64), tail_dof=np.float32(4.0), spectrum_values=np.ones(64))
+    assert type(spec.d_in) is int and type(spec.tail_dof) is float
+    assert spec.spectrum_values == (1.0,) * 64
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +383,9 @@ def test_sweep_cell_averages_random_rotations():
         assert avg.block_losses[i] == pytest.approx(
             np.mean([r.block_losses[i] for r in singles]), rel=1e-15
         )
-    with pytest.raises(InvalidSpec):
-        pl.sweep_cell(w, x, "r", int4_scheme(), r_repeats=0)
+    for r_repeats in (0, 1.5, True):
+        with pytest.raises(InvalidSpec):
+            pl.sweep_cell(w, x, "r", int4_scheme(), r_repeats=r_repeats)
 
 
 class _StubConfig:

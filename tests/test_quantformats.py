@@ -42,6 +42,9 @@ def test_fpformat_validation():
         qf.FpFormat(0, 3)
     with pytest.raises(InvalidSpec):
         qf.FpFormat(12, 8)  # wider than 16 bits total
+    for exp_bits, mant_bits in ((2.0, 1), (2, "1"), (True, 1)):
+        with pytest.raises(InvalidSpec, match="_bits"):
+            qf.FpFormat(exp_bits, mant_bits)
 
 
 # ----------------------------------------------------------- nearest-even
@@ -151,6 +154,11 @@ def test_int4_clip_constant():
     assert qf.INT4_GAUSSIAN_CLIP == 0.9515
     assert qf.int4_scheme().clipping == 0.9515
     assert qf.int4_scheme(clipping=None).clipping is None
+    for clipping in ("0.5", True):
+        with pytest.raises(InvalidSpec, match="clipping"):
+            qf.int4_scheme(clipping=clipping)
+    with pytest.raises(InvalidSpec, match="group_size"):
+        qf.scheme_by_name("int4", group_size=32.0)
 
 
 # ------------------------------------------------------------ group/matrix
@@ -289,6 +297,9 @@ def test_intspec_grid_max():
     assert qf.IntSpec(8).grid_max == 127
     with pytest.raises(InvalidSpec):
         qf.IntSpec(1)
+    for bits in (4.5, "4"):  # 4.5 would quantize on a grid with max 10.31
+        with pytest.raises(InvalidSpec, match="bits"):
+            qf.IntSpec(bits)
 
 
 def test_int_quantize_codes_are_integers():

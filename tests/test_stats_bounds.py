@@ -54,7 +54,7 @@ def test_bound_validation():
         for max_var in (-1.0, math.nan, math.inf):
             with pytest.raises(InvalidCovariance):
                 fn(4, max_var)
-        for d in (math.nan, math.inf):
+        for d in (math.nan, math.inf, "3"):
             with pytest.raises(InvalidSpec):
                 fn(d)
 
@@ -145,8 +145,12 @@ def test_mc_validation():
     for var in (0.0, math.inf, math.nan):
         with pytest.raises(InvalidCovariance):
             sb.mc_max_sq("gaussian", 4, var=var)
-    with pytest.raises(InvalidSpec, match="integer"):
-        sb.mc_max_sq("gaussian", 4.5)
+    for d in (4.5, True):  # True would run at d = 1
+        with pytest.raises(InvalidSpec, match="integer"):
+            sb.mc_max_sq("gaussian", d)
+    for field, value in (("rho", "0.5"), ("var", "1"), ("var", True)):
+        with pytest.raises(InvalidCovariance, match=field):
+            sb.mc_max_sq("gaussian", 4, "correlated", **{field: value})
     with pytest.raises(ValidationError, match="integer"):
         sb.mc_max_sq("gaussian", 4, n_samples=10.5)
     for seed in (-1, 1.5):

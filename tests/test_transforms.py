@@ -81,9 +81,12 @@ def test_second_moments_validation():
         tf.second_moments(np.ones(3), np.ones((3, 2)), 1)
     with pytest.raises(ShapeMismatch, match="not divisible"):
         tf.second_moments(np.ones((6, 2)), np.ones((6, 2)), 4)
-    for damp in (-0.5, np.nan, np.inf):
+    for damp in (-0.5, np.nan, np.inf, True, "0.1"):
         with pytest.raises(InvalidSpec, match="damp"):
             tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), 2, damp=damp)
+    for d in (2.0, True):
+        with pytest.raises(ShapeMismatch, match="block size"):
+            tf.second_moments(np.ones((2, 2)), np.ones((2, 2)), d)
     with pytest.raises(NaNInput):
         tf.second_moments(np.array([[np.nan, 1.0]]).T, np.ones((2, 2)), 2)
 
