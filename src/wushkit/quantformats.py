@@ -17,11 +17,17 @@ code is never produced.
 
 Rounding
 --------
-Round-to-nearest breaks exact ties toward the even mantissa code, which for
-these grids is the even index into the sorted magnitude table (integers use
-``rint``, i.e. half-to-even).  Stochastic rounding interpolates linearly
-between the two bracketing grid points and rounds up with probability
-proportional to the distance; the group scale is always chosen
+FP values round in closed form.  Within a binade ``2**k <= |x| < 2**(k+1)``
+the grid step is ``2**(max(k, k_lo) - mant_bits)``, with ``k_lo = 1 - bias``
+(``-bias`` without subnormals): a power of two, so ``x / step`` is exact and
+the neighbours are ``floor(x / step)`` steps and one step more.
+Round-to-nearest breaks exact ties toward the even code: the lower
+neighbour's is even when ``floor(|x| / step)`` is, or with no mantissa bits
+when ``k + bias`` is.  Magnitudes clamp at the max; without subnormals
+``(-min, min)`` rounds to ``+-min``.  Integers use ``rint``, i.e.
+half-to-even.  Stochastic rounding interpolates linearly between the two
+bracketing grid points and rounds up with probability proportional to the
+distance; the group scale is always chosen
 deterministically so only the codes are random.  A group takes
 ``group_size`` consecutive uniforms from the caller's ``rng``;
 ``quantize_matrix`` draws all of them in one call, sub-column by sub-column
@@ -132,8 +138,8 @@ _BF16_MAX = (2.0 - 2.0 ** -7) * 2.0 ** 127  # largest finite bf16
 def enumerate_grid(fmt: FpFormat) -> np.ndarray:
     """All representable magnitudes of ``fmt``, strictly increasing.
 
-    The array index equals the (exp << mant_bits) | mant code, which is what
-    the nearest-even tie rule keys on.  NaN codes are excluded.
+    The array index equals the (exp << mant_bits) | mant code.  NaN codes
+    are excluded.
     """
     a, b = fmt.exp_bits, fmt.mant_bits
     bias = fmt.bias
@@ -158,7 +164,7 @@ def enumerate_grid(fmt: FpFormat) -> np.ndarray:
 
 
 def _mid_excluded(fmt: FpFormat) -> bool:
-    """True when a NaN code sits below the top code (breaks index parity)."""
+    """True when a NaN code sits below the top code (breaks the binade rule)."""
     a, b = fmt.exp_bits, fmt.mant_bits
     top = 2 ** (a + b) - 1
     return any((e << b) | m != top for (e, m) in fmt.nan_codes)
@@ -166,45 +172,50 @@ def _mid_excluded(fmt: FpFormat) -> bool:
 
 # --- rounding kernels -----------------------------------------------------
 
-def _rtn_even(x, grid):
-    """Signed nearest value of ``grid`` to ``x``, exact ties to the even index."""
-    a = np.abs(x)
-    last = grid.size - 1
-    idx = np.searchsorted(grid, a, side="right") - 1
-    idx = np.clip(idx, 0, last - 1)
-    lo = grid[idx]
-    hi = grid[idx + 1]
-    dlo = a - lo
-    dhi = hi - a
-    take_hi = (dhi < dlo) | ((dhi == dlo) & (idx % 2 == 1))
-    r = np.where(take_hi, hi, lo)
-    r = np.where(a >= grid[last], grid[last], r)
-    r = np.where(a <= grid[0], grid[0], r)
-    return np.where(x >= 0.0, r, -r)
-
-
-def _stoch(x, sgrid, u):
-    """Round ``x`` onto ``sgrid``, up where ``u`` is below the fractional distance."""
-    last = sgrid.size - 1
-    idx = np.searchsorted(sgrid, x, side="right") - 1
-    idx = np.clip(idx, 0, last - 1)
-    glo = sgrid[idx]
-    ghi = sgrid[idx + 1]
-    p = (x - glo) / (ghi - glo)
-    r = np.where(u < p, ghi, glo)
-    r = np.where(x <= sgrid[0], sgrid[0], r)
-    return np.where(x >= sgrid[last], sgrid[last], r)
-
-
-@lru_cache(maxsize=32)
-def _signed_grid(fmt: FpFormat) -> np.ndarray:
+def _clamp_and_step(x, fmt: FpFormat):
+    """``x`` clamped to +-max with -0 made +0, and the grid step at each
+    entry, ``2**(max(k, k_lo) - mant_bits)`` for ``2**k <= |x| < 2**(k+1)``.
+    The exponent field of a float64 alone is ``2**k`` (0 for a subnormal)."""
     g = enumerate_grid(fmt)
-    if g[0] == 0.0:
-        s = np.concatenate([-g[:0:-1], g])
-    else:
-        s = np.concatenate([-g[::-1], g])
-    s.setflags(write=False)
-    return s
+    x = np.clip(x, -g[-1], g[-1])
+    x += 0.0
+    k_lo = 1 - fmt.bias if fmt.includes_subnormals else -fmt.bias
+    bits = np.maximum(x.view(np.int64) & (0x7FF << 52), (k_lo + 1023) << 52)
+    bits -= fmt.mant_bits << 52
+    return x, bits.view(np.float64)
+
+
+def _rtn_even(x, fmt: FpFormat):
+    """Signed nearest value of ``fmt`` to ``x``, exact ties to the even code:
+    ``rint(x / step)``, as ``n * step`` has a code of ``n``'s parity; with no
+    mantissa bits a tie (1.5 steps) goes down when ``k + bias`` is even."""
+    x, step = _clamp_and_step(x, fmt)
+    q = x / step
+    n = np.rint(q)
+    if fmt.mant_bits == 0:
+        even = ((step.view(np.int64) >> 52) - 1023 + fmt.bias) % 2 == 0
+        n = np.where((np.abs(q) == 1.5) & even, np.trunc(q), n)
+    n *= step
+    if not fmt.includes_subnormals:  # the gap (-min, min) rounds to +-min
+        gmin = enumerate_grid(fmt)[0]
+        n = np.where(np.abs(x) < gmin, np.copysign(gmin, x), n)
+    return n
+
+
+def _stoch(x, fmt: FpFormat, u):
+    """Round ``x`` up from the signed grid point below, ``floor(x / step)``
+    steps, where ``u`` is below the distance from it in steps."""
+    x, step = _clamp_and_step(x, fmt)
+    q = x / step
+    n = np.floor(q)
+    q -= n
+    n += u < q  # + False also turns an underflowed -0 into +0
+    n *= step
+    if not fmt.includes_subnormals:  # the gap (-min, min) has no zero
+        gmin = enumerate_grid(fmt)[0]
+        up = u < (x + gmin) / (2.0 * gmin)
+        n = np.where(np.abs(x) < gmin, np.where(up, gmin, -gmin), n)
+    return n
 
 
 def rtn_value(x, fmt: FpFormat):
@@ -220,7 +231,7 @@ def rtn_value(x, fmt: FpFormat):
     arr = np.asarray(x, dtype=np.float64)
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
-    out = _rtn_even(arr, enumerate_grid(fmt))
+    out = _rtn_even(arr, fmt)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -351,7 +362,6 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         s = np.ldexp(1.0, k.astype(np.int64))
     else:
         s = rtn_value(raw, sf)
-        s = np.minimum(s, float(enumerate_grid(sf)[-1]))
     return np.where((raw <= 0.0) | (s <= 0.0), min_pos, s)
 
 
@@ -369,8 +379,8 @@ def _round_codes(
         base = np.floor(clamped)
         return base + (uniforms < clamped - base)
     if nearest:
-        return _rtn_even(scaled, enumerate_grid(vf))
-    return _stoch(scaled, _signed_grid(vf), uniforms)
+        return _rtn_even(scaled, vf)
+    return _stoch(scaled, vf, uniforms)
 
 
 def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng):

@@ -1,9 +1,13 @@
 """Grid enumeration, rounding modes, scale representation, block quantization."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
 import wushkit.quantformats as qf
+from _oracles import rtn_even_table, stoch_table
 from wushkit import InvalidSpec, NaNInput, ShapeMismatch
 
 E2M1_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
@@ -83,6 +87,88 @@ def test_rtn_e4m3_roundtrip_on_grid():
 def test_rtn_rejects_nan():
     with pytest.raises(NaNInput):
         qf.rtn_value(np.nan, qf.E2M1)
+
+
+# ------------------------------------------- closed form against table search
+
+
+def _formats(exp_bits):
+    """Every format with ``exp_bits`` and 0-7 mantissa bits, with and without
+    subnormals and a top NaN code, whose grid fits float64."""
+    for mant_bits, subnormals, nan in itertools.product(range(8), (True, False), (False, True)):
+        top = ((2 ** exp_bits - 1, 2 ** mant_bits - 1),) if nan else ()
+        fmt = qf.FpFormat(exp_bits, mant_bits, subnormals, top)
+        try:
+            qf.enumerate_grid(fmt)
+        except InvalidSpec:  # fewer than two values
+            continue
+        yield fmt
+
+
+def _probe_values(fmt, rng):
+    """Grid points, midpoints, their float64 neighbours on both sides, values
+    past the ends and tiny ones, with both signs, and -0."""
+    g = qf.enumerate_grid(fmt)
+    if g.size > 600:
+        g = np.unique(np.concatenate([g[:200], g[-200:], rng.choice(g, 200)]))
+    specials = [g[-1] * 1.5, g[-1] * 4.0, 1e308, 5e-324, g[0] / 2.0, g[0] / 3.0, 0.0]
+    pts = np.concatenate([g, (g[:-1] + g[1:]) / 2.0, specials])
+    pts = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf)])
+    pts = pts[np.isfinite(pts)]
+    return np.concatenate([pts, -pts, [-0.0]])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)  # tells +0 from -0
+
+
+@pytest.mark.parametrize("exp_bits", range(1, 10))
+def test_closed_form_rounding_matches_table_search(exp_bits):
+    rng = np.random.default_rng(exp_bits)
+    for fmt in _formats(exp_bits):
+        label = f"{fmt} subnormals={fmt.includes_subnormals} nan={fmt.nan_codes}"
+        x = _probe_values(fmt, rng)
+        np.testing.assert_array_equal(
+            _bits(qf._rtn_even(x, fmt)), _bits(rtn_even_table(x, fmt)), err_msg=label
+        )
+        for u in (np.zeros(x.size), np.full(x.size, 0.5), rng.random(x.size)):
+            np.testing.assert_array_equal(
+                _bits(qf._stoch(x, fmt, u)), _bits(stoch_table(x, fmt, u)), err_msg=label
+            )
+        # clamped quietly: pytest makes a RuntimeWarning an error
+        ends = np.array([np.inf, -np.inf, 1e308, -1e308])
+        np.testing.assert_array_equal(
+            _bits(qf.rtn_value(ends, fmt)), _bits(rtn_even_table(ends, fmt)), err_msg=label
+        )
+
+
+#: SHA-256 of ``quantize_matrix`` outputs at group sizes 16, 32 and 64, made
+#: with the table-search kernels.  The input takes only ``rng.random`` and
+#: exact arithmetic, so the digests depend on no BLAS or libm.
+QUANTIZE_DIGESTS = {
+    ("int4", "nearest"): "208a6bb97a0ee5a5bc7da9e11d44465732bd78cfdb75431b1a40283c3f0472cd",
+    ("int4", "stochastic"): "b5f824f443b03c632a20d186e369c1e8fb6d58dabf4b24922b510d1512ce5b30",
+    ("mxfp4", "nearest"): "c24dd9aab7c6f6a146852072c8c7df8d42aa92e4b9b674973d44d75fbe08d2f1",
+    ("mxfp4", "stochastic"): "2657fb6dafa6db12fb92a2e93b328e7fbc4bdbb76560ee8d876379d749b29214",
+    ("nvfp4", "nearest"): "c7f79bca9216e1c6424885e80c48aea2d8c62b32cb54f8ac16fee3fca3858fab",
+    ("nvfp4", "stochastic"): "5404bf0d010fff3a595869042dce00f3746dd3a5fd376aab43d78bac8903fc02",
+}
+
+
+@pytest.mark.parametrize("preset,rounding", sorted(QUANTIZE_DIGESTS))
+def test_quantize_matrix_digest(preset, rounding):
+    rng = np.random.default_rng(2024)
+    # columns at magnitudes 2**-40 .. 2**29 with non-power-of-two factors,
+    # an all-zero and an all-minus-zero sub-column
+    m = (rng.random((128, 24)) - 0.5) * (rng.random(24) * 10.0)
+    m *= np.ldexp(1.0, np.arange(24) * 3 - 40)
+    m[32:64, 5] = 0.0
+    m[16:32, 7] = -0.0
+    h = hashlib.sha256()
+    for group_size in (16, 32, 64):
+        scheme = qf.scheme_by_name(preset, qf.ROUNDING_NAMES[rounding], group_size)
+        h.update(qf.quantize_matrix(m, scheme, np.random.default_rng(7)).tobytes())
+    assert h.hexdigest() == QUANTIZE_DIGESTS[preset, rounding]
 
 
 # ------------------------------------------------------------------- bf16
