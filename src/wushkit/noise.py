@@ -183,6 +183,8 @@ def one_sided_loss_mc(
     the sample mean and its standard error.  Singular transforms and
     non-positive-definite moments raise through :func:`~wushkit.linalg`.
     """
+    if not isinstance(model, (FpRelative, IntAbsmax)):
+        raise ValidationError(f"model: expected FpRelative or IntAbsmax, got {model!r}")
     _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)
     t_arr = _as_square(t, "transform")
@@ -222,10 +224,12 @@ def midrise_int_quantizer(x: float, s: float, bits: Optional[int] = None) -> flo
     is given, inputs outside the representable range
     ``[-2**(bits-1), 2**(bits-1)) * s`` raise :class:`OutOfRange`.
     """
+    x, s = _want("x", x, float), _want("s", s, float)
     if s == 0.0 or not math.isfinite(s):
         raise ValidationError(f"step must be finite and nonzero, got {s}")
     ratio = x / s
     if bits is not None:
+        bits = _want("bits", bits, int, low=1)
         half_range = 2.0 ** (bits - 1)
         if not -half_range <= ratio < half_range:
             raise OutOfRange(

@@ -249,6 +249,9 @@ def test_mc_validation():
     for seed in (-1, 1.5):
         with pytest.raises(InvalidSpec, match="seed"):
             noise.one_sided_loss_mc(np.eye(2), np.eye(2), noise.IntAbsmax(4), 10, seed=seed)
+    for model in ("int4", None, noise.IntAbsmax):
+        with pytest.raises(ValidationError, match="model"):
+            noise.one_sided_loss_mc(np.eye(2), np.eye(2), model, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +283,11 @@ def test_midrise_range_check():
         noise.midrise_int_quantizer(-8.5, 1.0, bits=4)
     with pytest.raises(ValidationError):
         noise.midrise_int_quantizer(1.0, 0.0)
+    with pytest.raises(InvalidSpec, match="s: expected a number"):
+        noise.midrise_int_quantizer(1.0, "0.5")
+    for bits in (2.5, True):  # 2.5 would check against +-2**1.5
+        with pytest.raises(InvalidSpec, match="bits"):
+            noise.midrise_int_quantizer(1.0, 1.0, bits=bits)
 
 
 # ---------------------------------------------------------------------------
