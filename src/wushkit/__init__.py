@@ -10,6 +10,8 @@ The package has three layers:
 numpy is the only dependency; factorizations go through ``numpy.linalg``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadMagic,
     DimOverflow,
@@ -67,6 +69,7 @@ from .stats_bounds import (
 )
 from .tensorio import read_tensor, write_tensor
 from .transforms import (
+    Layer,
     LayerPlan,
     build_block,
     build_layer_plan,
@@ -87,77 +90,8 @@ from .config import ExperimentConfig, load_config, parse_config, write_sweep_csv
 
 __version__ = "0.1.0"
 
+#: Every public name imported above (the submodules excepted), and the version.
 __all__ = [
-    "WushkitError",
-    "ValidationError",
-    "NumericalError",
-    "NotSymmetric",
-    "NotPositiveDefinite",
-    "NotPowerOfTwo",
-    "Singular",
-    "NoConvergence",
-    "NaNInput",
-    "ShapeMismatch",
-    "OutOfRange",
-    "BadMagic",
-    "UnsupportedVersion",
-    "TruncatedPayload",
-    "DimOverflow",
-    "InvalidSpec",
-    "InvalidCovariance",
-    "SymEigen",
-    "cholesky",
-    "sym_eigen",
-    "hadamard",
-    "random_rotation",
-    "invert",
-    "FpFormat",
-    "IntSpec",
-    "QuantScheme",
-    "E2M1",
-    "E4M3",
-    "E8M0",
-    "INT4_GAUSSIAN_CLIP",
-    "enumerate_grid",
-    "rtn_value",
-    "round_bf16",
-    "quantize_group",
-    "quantize_matrix",
-    "mxfp4_scheme",
-    "nvfp4_scheme",
-    "int4_scheme",
-    "scheme_by_name",
-    "FpRelative",
-    "IntAbsmax",
-    "compose_transform",
-    "fp_trace_term",
-    "int_bounds",
-    "one_sided_loss_mc",
-    "midrise_int_quantizer",
-    "random_spd_moment",
-    "MaxSqEstimate",
-    "gaussian_max_bound",
-    "laplacian_max_bound",
-    "mc_max_sq",
-    "survival_expectation",
-    "read_tensor",
-    "write_tensor",
-    "LayerPlan",
-    "build_block",
-    "build_layer_plan",
-    "second_moments",
-    "LossReport",
-    "SyntheticSpec",
-    "gen_synthetic",
-    "forward_quantized",
-    "evaluate",
-    "layer_loss",
-    "first_order_gap",
-    "sweep",
-    "sweep_cell",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "write_sweep_csv",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -156,12 +156,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .transforms import build_layer_plan
+    from .transforms import Layer, build_layer_plan
 
     w = read_tensor(args.weights)
     x = read_tensor(args.activations)
     scheme = _scheme_from_args(args)
-    plan = build_layer_plan(w, x, args.kind, scheme, args.damp, args.seed)
+    plan = build_layer_plan(Layer(w, x), args.kind, scheme, args.damp, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_tensor(out / "t_act.wten", plan.t_act)

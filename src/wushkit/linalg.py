@@ -184,16 +184,24 @@ def hadamard(d: int) -> np.ndarray:
     """Orthonormal Sylvester-Hadamard matrix, entries all ``+-d**-0.5``.
 
     Only powers of two are constructible; anything else raises
-    :class:`NotPowerOfTwo`.
+    :class:`NotPowerOfTwo`.  The matrix is built once per size and shared,
+    so it is read-only.
     """
     d = _want("Hadamard size", d, int, NotPowerOfTwo)
     if d < 1 or (d & (d - 1)) != 0:
         raise NotPowerOfTwo(f"Hadamard size must be a positive power of 2, got {d}")
+    return _hadamard(d)
+
+
+@lru_cache(maxsize=8)
+def _hadamard(d: int) -> np.ndarray:
     h = np.array([[1.0]])
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
     while h.shape[0] < d:
         h = np.kron(h, block)
-    return h / math.sqrt(d)
+    h /= math.sqrt(d)
+    h.setflags(write=False)
+    return h
 
 
 def random_rotation(d: int, seed: int) -> np.ndarray:

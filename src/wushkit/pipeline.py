@@ -19,8 +19,16 @@ Losses are evaluated in factored form from one pass over the blocks.  With
 error-sized terms.  With ``A``, ``B`` the ``k = 2 d_in`` stacked rows, the
 squared layer error is ``<A A^T, B B^T>_F`` from two ``k x k`` Grams when
 ``k (d_out + d_batch) <= d_out d_batch``, else ``|A^T B|_F^2`` from one
-product, the only ``d_out x d_batch`` array made; block losses are
-``<a_i a_i^T, b_i b_i^T>_F`` from ``2d x 2d`` Gram matrices.
+product, the only ``d_out x d_batch`` array made.  Block losses are
+``<a_i a_i^T, b_i b_i^T>_F``: on the Gram side the ``2d x 2d`` Grams are the
+diagonal blocks of the two ``k x k`` ones, otherwise they are made per block.
+
+The plan-building and scoring functions take a :class:`~.transforms.Layer`:
+``build_layer_plan(layer, kind, scheme, damp, seed)``,
+``evaluate(plan, layer)`` and ``sweep_cell(layer, ...)``, so the cells of one
+layer share its array checks, moments and whitened cores.  ``sweep`` builds
+one ``Layer`` per data seed; ``layer_loss(w, x, ...)`` and
+``first_order_gap(w, x, ...)`` build one at entry.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import numpy as np
 from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
 from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
-from .transforms import DEFAULT_DAMP, LayerPlan, build_layer_plan
+from .transforms import DEFAULT_DAMP, Layer, LayerPlan, build_layer_plan
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
 
@@ -140,34 +148,28 @@ def _act_rng(plan: LayerPlan) -> Optional[np.random.Generator]:
     return np.random.default_rng(np.random.SeedSequence(entropy=(plan.seed, 0xAC)))
 
 
-def _factors(plan: LayerPlan, x, w=None):
+def _factors(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None):
     """Stacked factors ``a`` (``n_blocks x 2d x d_out``, None without
     weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
     quantizing activations block by block from the plan's one activation
-    stream.  The inputs must fit the plan; a loss needs one sample."""
-    x_arr = _as_finite(x, "activations", 2)
-    if x_arr.shape[0] != plan.d_in:
+    stream.  ``x`` and ``w`` are checked float64 arrays that must fit the
+    plan."""
+    if x.shape[0] != plan.d_in or (w is not None and w.shape != (plan.d_in, plan.d_out)):
+        got = x.shape if w is None else (w.shape, x.shape)
         raise ShapeMismatch(
-            f"activations have {x_arr.shape[0]} rows, plan wants {plan.d_in}"
+            f"plan wants {plan.d_in} input rows and {plan.d_out} outputs, got shapes {got}"
         )
-    if w is not None:
-        w_arr = _as_finite(w, "weights", 2)
-        if w_arr.shape != (plan.d_in, plan.d_out) or x_arr.shape[1] < 1:
-            raise ShapeMismatch(
-                f"plan wants weights {(plan.d_in, plan.d_out)} and at least one "
-                f"sample, got weights {w_arr.shape} and activations {x_arr.shape}"
-            )
     n, d = plan.n_blocks, plan.d
     rng = _act_rng(plan)
-    b = np.empty((n, 2 * d, x_arr.shape[1]))
-    np.matmul(plan.t_act, x_arr.reshape(n, d, x_arr.shape[1]), out=b[:, d:])
+    b = np.empty((n, 2 * d, x.shape[1]))
+    np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
     for i in range(n):
         b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
     if w is None:
         return None, b
     a = np.empty((n, 2 * d, plan.d_out))
-    np.matmul(plan.t_weight, w_arr.reshape(n, d, plan.d_out), out=a[:, d:])
+    np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
     np.subtract(plan.w_hat, a[:, d:], out=a[:, :d])
     return a, b
 
@@ -176,16 +178,26 @@ def _rel_gap(total: float, approx: float) -> float:
     return abs(total - approx) / total if total > 0.0 else 0.0
 
 
-def _sq_error(a: np.ndarray, b: np.ndarray) -> float:
+def _sq_error(a: np.ndarray, b: np.ndarray, blocks: bool = False):
     """``|A^T B|_F^2`` of the ``k x m``, ``k x n`` stacked factors; from the
     Grams when their ``k^2 (m + n) / 2`` multiply-adds are at most half the
-    product's ``k m n``, a margin because BLAS runs them slower per flop."""
+    product's ``k m n``, a margin because BLAS runs them slower per flop.
+    With ``blocks``, ``(layer, per-block)`` values: each block's from the
+    diagonal blocks of those Grams, or on the product side from its own."""
     a2, b2 = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
     (k, m), n = a2.shape, b2.shape[1]
     if k * (m + n) <= m * n:
-        return float(np.vdot(a2 @ a2.T, b2 @ b2.T))
-    err = a2.T @ b2
-    return float(np.vdot(err, err))
+        gram_a, gram_b = a2 @ a2.T, b2 @ b2.T
+        raw = float(np.vdot(gram_a, gram_b))
+        if blocks:
+            i, shape = np.arange(len(a)), (len(a), a.shape[1]) * 2
+            gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
+    else:
+        err = a2.T @ b2
+        raw = float(np.vdot(err, err))
+        if blocks:
+            gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
+    return (raw, (gram_a * gram_b).sum(axis=(1, 2))) if blocks else raw
 
 
 def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
@@ -194,23 +206,21 @@ def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
     Stochastic schemes round activations from a stream derived from the plan
     seed, the same one :func:`evaluate` uses.
     """
-    _, b = _factors(plan, x)
+    _, b = _factors(plan, _as_finite(x, "activations", 2))
     q = b[:, : plan.d].reshape(plan.d_in, b.shape[-1])
     return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
-def evaluate(plan: LayerPlan, w, x) -> LossReport:
-    """Quantization loss of a built plan on the layer ``(w, x)``.
-
-    ``w`` must have the plan's ``(d_in, d_out)`` shape and ``x`` its
-    ``d_in`` rows and at least one sample.
-    """
-    a, b = _factors(plan, x, w)
+def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
+    """Quantization loss of a built plan on a :class:`~.transforms.Layer`,
+    which must have the plan's ``d_in`` and ``d_out``; it may differ from
+    the layer the plan was built on (say, a held-out split)."""
+    layer = _want("layer", layer, Layer)
+    a, b = _factors(plan, layer.x, layer.w)
     norm = plan.d_out * b.shape[-1]
-    raw = _sq_error(a, b)
+    raw, block_raw = _sq_error(a, b, blocks=True)
     loss = raw / norm
-    gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
-    blocks = tuple(float(v) / norm for v in (gram_a * gram_b).sum(axis=(1, 2)))
+    blocks = tuple(float(v) / norm for v in block_raw)
     return LossReport(
         plan.kind, str(plan.scheme), plan.seed, plan.d, plan.damp,
         layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
@@ -223,7 +233,8 @@ def layer_loss(
 ) -> LossReport:
     """Build the ``(kind, scheme, damp, seed)`` plan for ``(w, x)`` and
     :func:`evaluate` it."""
-    return evaluate(build_layer_plan(w, x, kind, scheme, damp, seed), w, x)
+    layer = Layer(w, x)
+    return evaluate(build_layer_plan(layer, kind, scheme, damp, seed), layer)
 
 
 def first_order_gap(
@@ -237,8 +248,9 @@ def first_order_gap(
     term gives the first-order decomposition the noise models analyze.
     Returns ``(loss, first_order_loss, relative_gap)``.
     """
-    plan = build_layer_plan(w, x, kind, scheme, damp, seed)
-    a, b = _factors(plan, x, w)
+    layer = Layer(w, x)
+    plan = build_layer_plan(layer, kind, scheme, damp, seed)
+    a, b = _factors(plan, layer.x, layer.w)
     norm = plan.d_out * b.shape[-1]
     loss = _sq_error(a, b) / norm
     b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
@@ -266,15 +278,14 @@ def _repeat_seed(seed: int, rep: int) -> int:
 
 
 def sweep_cell(
-    w,
-    x,
+    layer: Layer,
     kind: str,
     scheme: QuantScheme,
     damp: float = DEFAULT_DAMP,
     seed: int = 0,
     r_repeats: int = 1,
 ) -> LossReport:
-    """Loss report for one grid cell.
+    """Loss report for one grid cell of a :class:`~.transforms.Layer`.
 
     Random-rotation cells are averaged over ``r_repeats`` independently
     seeded rotations; every other kind is deterministic given the seed, so
@@ -283,7 +294,7 @@ def sweep_cell(
     _want("r_repeats", r_repeats, int, low=1)
     reps = r_repeats if kind == "r" else 1
     reports = [
-        layer_loss(w, x, kind, scheme, damp, _repeat_seed(seed, rep))
+        evaluate(build_layer_plan(layer, kind, scheme, damp, _repeat_seed(seed, rep)), layer)
         for rep in range(reps)
     ]
     if reps == 1:
@@ -309,9 +320,9 @@ def sweep(cfg, timings: bool = False) -> list:
     come out in deterministic grid order (transforms outermost, then
     schemes, then seeds, then block index), one row per block, although the
     cells run seed by seed so that ``load_data`` is called once per seed and
-    one data set is held at a time.  Cell wall time lands in ``elapsed_ms``
-    only when ``timings`` is set, so default output is byte-stable across
-    runs.
+    one :class:`~.transforms.Layer` is held at a time.  Cell wall time lands
+    in ``elapsed_ms`` only when ``timings`` is set, so default output is
+    byte-stable across runs.
     """
     transforms = list(cfg.transforms)
     if not transforms:
@@ -324,16 +335,16 @@ def sweep(cfg, timings: bool = False) -> list:
         raise InvalidSpec("seed list is empty")
     cells = {}
     for seed in seeds:
-        w, x = cfg.load_data(seed)
+        layer = Layer(*cfg.load_data(seed))
         for kind in transforms:
             for j, (name, scheme) in enumerate(schemes):
                 t0 = perf_counter()
-                rep = sweep_cell(w, x, kind, scheme, cfg.damp, seed, cfg.r_repeats)
+                rep = sweep_cell(layer, kind, scheme, cfg.damp, seed, cfg.r_repeats)
                 elapsed = (perf_counter() - t0) * 1e3 if timings else None
                 cells[kind, j, seed] = [
                     SweepRow(cfg.layer_label, kind, name, seed, b, bl, rep.layer_loss, elapsed)
                     for b, bl in enumerate(rep.block_losses)
                 ]
-        del w, x
+        del layer
     grid = ((k, j, s) for k in transforms for j in range(len(schemes)) for s in seeds)
     return [row for cell in grid for row in cells[cell]]

@@ -79,7 +79,7 @@ class FpFormat:
     exp_bits: int
     mant_bits: int
     includes_subnormals: bool = True
-    nan_codes: tuple = ()  # (exp_code, mant_code) pairs excluded from the grid
+    nan_codes: tuple[tuple[int, ...], ...] = ()  # (exp_code, mant_code) pairs off the grid
     name: str = ""
 
     def __post_init__(self):
@@ -90,6 +90,10 @@ class FpFormat:
             raise InvalidSpec("mant_bits must be >= 0")
         if self.exp_bits + self.mant_bits > 16:
             raise InvalidSpec("exp_bits + mant_bits must be <= 16")
+        for code in self.nan_codes:
+            ok = len(code) == 2 and 0 <= code[0] < 2 ** self.exp_bits
+            if not (ok and 0 <= code[1] < 2 ** self.mant_bits):
+                raise InvalidSpec(f"nan_codes: {code} is not an (exp, mant) code pair of {self}")
 
     @property
     def bias(self) -> int:

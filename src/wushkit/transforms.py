@@ -21,11 +21,16 @@ the moment blocks, ``build_block`` turns a whole stack into the
 ``(t_act, t_weight)`` stacks in one call (a single block is a stack of one),
 and ``build_layer_plan`` adds the pre-quantized weights.  Only the
 eigendecompositions and the weight quantization run block by block.
+
+A :class:`Layer` holds ``(w, x)``, checked once, and caches the data-only
+work per ``(d, damp)``: the moment blocks and the whitened core
+``Lam^-1/4 U^T W'^T``.  ``wus`` and ``wush`` plans share that core (``wush``
+is ``H @ core``); the orthogonal kinds read no moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +93,59 @@ class LayerPlan:
         return self.w_hat.shape[2]
 
 
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """Weights ``w`` (``d_in x d_out``) and activations ``x``
+    (``d_in x d_batch``) of one linear layer, checked once.  ``moments`` and
+    ``core`` are computed on first use per ``(d, damp)``, then kept
+    read-only; the arrays are held, not copied, so do not modify them."""
+
+    w: np.ndarray
+    x: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        w = _as_finite(self.w, "weights", 2)
+        x = _as_finite(self.x, "activations", 2)
+        if w.shape[0] != x.shape[0]:
+            raise ShapeMismatch(
+                f"weights and activations disagree on d_in: {w.shape[0]} vs {x.shape[0]}"
+            )
+        if w.shape[1] < 1 or x.shape[1] < 1:
+            raise ShapeMismatch("need at least one weight column and one sample")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "x", x)
+
+    def moments(self, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
+        """:func:`second_moments` of the layer."""
+        key = ("moments", *_check_split(self.w.shape[0], d, damp))
+        if key not in self._cache:
+            pair = self._cache[key] = second_moments(self.w, self.x, *key[1:])
+            for m in (pair.m_w, pair.m_x):
+                m.setflags(write=False)
+        return self._cache[key]
+
+    def core(self, d: int, damp: float = DEFAULT_DAMP) -> np.ndarray:
+        """The whitened core stack ``Lam^-1/4 U^T W'^T`` of :meth:`moments`."""
+        key = ("core", *_check_split(self.w.shape[0], d, damp))
+        if key not in self._cache:
+            pair = self.moments(d, damp)
+            self._cache[key] = _whitened_core(pair.m_w, pair.m_x)[0]
+            self._cache[key].setflags(write=False)
+        return self._cache[key]
+
+
+def _check_split(d_in: int, d, damp):
+    """``(d, damp)`` checked: a ridge ``>= 0`` and a block size dividing ``d_in``."""
+    damp = _want("damp", damp, float)
+    if not 0.0 <= damp < np.inf:
+        raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
+    d = _want("block size", d, int, ShapeMismatch)
+    if d < 1 or d_in % d != 0:
+        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
+    return d, damp
+
+
 def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     """Diagonal ``d x d`` blocks of the damped second moments ``W W^T / d_out``
     and ``X X^T / d_batch``, stacked ``(n_blocks, d, d)``.
@@ -97,21 +155,9 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     the full moment's diagonal, so a weak block in a strong layer is damped
     by the layer-wide scale.
     """
-    w_arr = _as_finite(w, "weights", 2)
-    x_arr = _as_finite(x, "activations", 2)
-    if w_arr.shape[0] != x_arr.shape[0]:
-        raise ShapeMismatch(
-            f"weights and activations disagree on d_in: {w_arr.shape[0]} vs {x_arr.shape[0]}"
-        )
-    if w_arr.shape[1] < 1 or x_arr.shape[1] < 1:
-        raise ShapeMismatch("need at least one weight column and one sample")
-    damp = _want("damp", damp, float)
-    if not 0.0 <= damp < np.inf:
-        raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
-    d_in = w_arr.shape[0]
-    d = _want("block size", d, int, ShapeMismatch)
-    if d < 1 or d_in % d != 0:
-        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
+    layer = Layer(w, x)
+    d_in = layer.w.shape[0]
+    d, damp = _check_split(d_in, d, damp)
 
     def _moment(a: np.ndarray) -> np.ndarray:
         a3 = a.reshape(d_in // d, d, a.shape[1])
@@ -123,7 +169,7 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
             m = m + damp * float(np.mean(diag)) * np.eye(d)
         return m
 
-    return MomentPair(m_w=_moment(w_arr), m_x=_moment(x_arr))
+    return MomentPair(m_w=_moment(layer.w), m_x=_moment(layer.x))
 
 
 def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
@@ -146,6 +192,27 @@ def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
     return core, lam_c
 
 
+def _check_kind(kind: str, seed) -> None:
+    if kind not in TRANSFORM_KINDS:
+        raise InvalidSpec(f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}")
+    _check_seed(seed)
+
+
+def _pair(kind: str, shape, seed: int, core):
+    """``(t_act, t_weight)`` stacks of ``shape`` for a checked ``kind``; only
+    the adaptive kinds call ``core()`` for their whitened core stack."""
+    n_blocks, d = shape[:2]
+    if kind in ("i", "h"):
+        t = np.broadcast_to(np.eye(d) if kind == "i" else hadamard(d), shape)
+        return t, t
+    if kind == "r":
+        children = np.random.SeedSequence(seed).spawn(n_blocks)
+        t = np.stack([random_rotation(d, int(c.generate_state(1)[0])) for c in children])
+        return t, t
+    t_act = hadamard(d) @ core() if kind == "wush" else core()
+    return t_act, np.ascontiguousarray(invert(t_act).transpose(0, 2, 1))
+
+
 def build_block(kind: str, m_w, m_x, seed: int = 0):
     """Transform pairs ``(t_act, t_weight)`` for a ``(n_blocks, d, d)`` stack
     of moment blocks, as two ``(n_blocks, d, d)`` stacks.
@@ -157,11 +224,7 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
     matters for ``r``, but must be a non-negative integer for every kind.
     The adaptive kinds invert numerically.
     """
-    if kind not in TRANSFORM_KINDS:
-        raise InvalidSpec(
-            f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}"
-        )
-    _check_seed(seed)
+    _check_kind(kind, seed)
     mw = _as_finite(m_w, "m_w", ndim=3)
     mx = _as_finite(m_x, "m_x", ndim=3)
     if mw.shape != mx.shape or mw.shape[1] != mw.shape[2] or mw.shape[0] < 1:
@@ -169,39 +232,31 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
             f"moment stacks must be matching non-empty stacks of squares, "
             f"got {mw.shape} and {mx.shape}"
         )
-    n_blocks, d = mw.shape[:2]
-    if kind in ("i", "h"):
-        t = np.broadcast_to(np.eye(d) if kind == "i" else hadamard(d), mw.shape)
-        return t, t
-    if kind == "r":
-        children = np.random.SeedSequence(seed).spawn(n_blocks)
-        t = np.stack([random_rotation(d, int(c.generate_state(1)[0])) for c in children])
-        return t, t
-    core, _ = _whitened_core(mw, mx)
-    t_act = hadamard(d) @ core if kind == "wush" else core
-    return t_act, np.ascontiguousarray(invert(t_act).transpose(0, 2, 1))
+    return _pair(kind, mw.shape, seed, lambda: _whitened_core(mw, mx)[0])
 
 
 def build_layer_plan(
-    w,
-    x,
+    layer: Layer,
     kind: str,
     scheme: QuantScheme,
     damp: float = DEFAULT_DAMP,
     seed: int = 0,
 ) -> LayerPlan:
-    """Moments, per-block transforms and pre-quantized weights for a layer.
+    """Per-block transforms and pre-quantized weights for a :class:`Layer`.
 
     The transform block size equals the scheme's quantization group size;
-    ``d_in`` must be divisible by it.  ``seed`` seeds the random-rotation
+    ``d_in`` must be divisible by it.  The adaptive kinds take the layer's
+    cached core for ``(d, damp)``; the orthogonal ones read no moments, but
+    ``damp`` is checked for every kind.  ``seed`` seeds the random-rotation
     blocks (see :func:`build_block`) and, if the scheme requests stochastic
     weight rounding, a stream derived from it, drawn block by block.
     """
-    d = scheme.group_size
-    moments = second_moments(w, x, d, damp)  # checks w and x
-    t_act, t_weight = build_block(kind, moments.m_w, moments.m_x, seed)
-    w_arr = np.asarray(w, dtype=np.float64)
-    w_t = t_weight @ w_arr.reshape(t_act.shape[0], d, w_arr.shape[1])
+    layer = _want("layer", layer, Layer)
+    d, _ = _check_split(layer.w.shape[0], scheme.group_size, damp)
+    _check_kind(kind, seed)
+    n_blocks = layer.w.shape[0] // d
+    t_act, t_weight = _pair(kind, (n_blocks, d, d), seed, lambda: layer.core(d, damp))
+    w_t = t_weight @ layer.w.reshape(n_blocks, d, layer.w.shape[1])
     wq_rng = None
     if scheme.rounding == ROUND_STOCHASTIC:
         wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))

@@ -45,3 +45,11 @@ def stoch_table(x, fmt, u):
     r = np.where(u < p, ghi, glo)
     r = np.where(x <= sgrid[0], sgrid[0], r)
     return np.where(x >= sgrid[last], sgrid[last], r)
+
+
+def block_gram_losses(a, b):
+    """Each block's squared error ``<a_i a_i^T, b_i b_i^T>_F`` from batched
+    ``2d x 2d`` Grams of the ``(n_blocks, 2d, m)`` and ``(n_blocks, 2d, n)``
+    factor stacks."""
+    gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
+    return (gram_a * gram_b).sum(axis=(1, 2))

@@ -32,7 +32,7 @@ from wushkit.errors import (
 )
 from wushkit.pipeline import SweepRow, SyntheticSpec
 from wushkit.quantformats import nvfp4_scheme
-from wushkit.transforms import build_layer_plan
+from wushkit.transforms import Layer, build_layer_plan
 
 # ---------------------------------------------------------------------------
 # tensor container
@@ -392,7 +392,7 @@ def test_cli_plan_persists_blocks(tmp_path, capsys):
     np.testing.assert_allclose(t_act[0] @ t_weight[0].T, np.eye(16), atol=1e-10)
     # every block, in order, bit-equal to the plan built in memory
     plan = build_layer_plan(
-        tensorio.read_tensor(w_path), tensorio.read_tensor(x_path), "wus", nvfp4_scheme()
+        Layer(tensorio.read_tensor(w_path), tensorio.read_tensor(x_path)), "wus", nvfp4_scheme()
     )
     np.testing.assert_array_equal(t_act, plan.t_act)
     np.testing.assert_array_equal(t_weight, plan.t_weight)

@@ -169,6 +169,13 @@ def test_hadamard_accepts_numpy_integers():
     np.testing.assert_array_equal(hadamard(np.int64(4)), hadamard(4))
 
 
+def test_hadamard_is_built_once_per_size_and_read_only():
+    h = hadamard(16)
+    assert hadamard(np.int64(16)) is h
+    with pytest.raises(ValueError):
+        h[0, 0] = 0.0
+
+
 # --------------------------------------------------------- random_rotation
 
 

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import block_gram_losses
 from wushkit import pipeline as pl
+from wushkit import transforms as tf
 from wushkit.errors import InvalidCovariance, InvalidSpec, ShapeMismatch
 from wushkit.quantformats import (
     E8M0,
@@ -17,8 +19,9 @@ from wushkit.quantformats import (
     mxfp4_scheme,
     nvfp4_scheme,
     quantize_matrix,
+    scheme_by_name,
 )
-from wushkit.transforms import TRANSFORM_KINDS, build_layer_plan
+from wushkit.transforms import TRANSFORM_KINDS, Layer, build_layer_plan
 
 # fine enough to be lossless on float64 data at these magnitudes
 INT26 = QuantScheme(IntSpec(26), E8M0, 32, name="int26")
@@ -153,7 +156,7 @@ def test_synthetic_spec_validation():
 
 def test_forward_quantized_lossless_scheme_recovers_product():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(w, x, "wush", INT26)
+    plan = build_layer_plan(Layer(w, x), "wush", INT26)
     out = pl.forward_quantized(plan, x)
     ref = w.T @ x
     assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -161,7 +164,7 @@ def test_forward_quantized_lossless_scheme_recovers_product():
 
 def test_forward_quantized_zero_activations():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(w, x, "wus", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), "wus", int4_scheme())
     out = pl.forward_quantized(plan, np.zeros((64, 5)))
     np.testing.assert_array_equal(out, np.zeros((8, 5)))
     assert pl.forward_quantized(plan, np.zeros((64, 0))).shape == (8, 0)
@@ -169,7 +172,7 @@ def test_forward_quantized_zero_activations():
 
 def test_forward_quantized_single_block_composition():
     w, x = pl.gen_synthetic(_spec(d_in=32))
-    plan = build_layer_plan(w, x, "wush", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), "wush", int4_scheme())
     assert plan.n_blocks == 1
     manual = plan.w_hat[0].T @ quantize_matrix(plan.t_act[0] @ x, plan.scheme)
     np.testing.assert_array_equal(pl.forward_quantized(plan, x), manual)
@@ -177,7 +180,7 @@ def test_forward_quantized_single_block_composition():
 
 def test_forward_quantized_shape_check():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(w, x, "i", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), "i", int4_scheme())
     with pytest.raises(ShapeMismatch):
         pl.forward_quantized(plan, x[:32, :])
 
@@ -219,8 +222,8 @@ def test_layer_loss_monotone_in_int_bits():
 
 def test_evaluate_matches_layer_loss():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(w, x, "wus", int4_scheme(), damp=0.01, seed=2)
-    a = pl.evaluate(plan, w, x)
+    plan = build_layer_plan(Layer(w, x), "wus", int4_scheme(), damp=0.01, seed=2)
+    a = pl.evaluate(plan, Layer(w, x))
     b = pl.layer_loss(w, x, "wus", int4_scheme(), seed=2)
     assert a.kind == "wus"
     assert a == b
@@ -228,16 +231,18 @@ def test_evaluate_matches_layer_loss():
 
 def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(w, x, "wush", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), "wush", int4_scheme())
     w_wide, _ = pl.gen_synthetic(_spec(d_out=12))
     with pytest.raises(ShapeMismatch):
-        pl.evaluate(plan, w_wide, x)
+        pl.evaluate(plan, Layer(w_wide, x))
     # 96 rows split into whole blocks too, so only the plan can catch it
     w_tall, x_tall = pl.gen_synthetic(_spec(d_in=96))
     with pytest.raises(ShapeMismatch):
-        pl.evaluate(plan, w_tall, x_tall)
+        pl.evaluate(plan, Layer(w_tall, x_tall))
     with pytest.raises(ShapeMismatch):
-        pl.evaluate(plan, w, x[:, :0])
+        pl.evaluate(plan, Layer(w, x[:, :0]))
+    with pytest.raises(InvalidSpec, match="layer"):
+        pl.evaluate(plan, w)
     # a negative seed is refused for every kind, stochastic rounding or not
     for kind, scheme in (("h", int4_scheme()), ("r", int4_scheme()),
                          ("wush", int4_scheme(rounding=ROUND_STOCHASTIC))):
@@ -273,7 +278,7 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
     w, x = pl.gen_synthetic(
         _spec(d_in=d_in, d_out=d_out, d_batch=d_batch, outlier_count=2, outlier_magnitude=10.0)
     )
-    plan = build_layer_plan(w, x, kind, scheme, seed=4)
+    plan = build_layer_plan(Layer(w, x), kind, scheme, seed=4)
     # direct evaluation: sum_i w_hat_i^T q_i - W^T X, same rounding stream
     rng = pl._act_rng(plan)
     approx = np.zeros((d_out, d_batch))
@@ -337,6 +342,19 @@ def test_sq_error_gram_side_makes_no_error_array():
     assert peak < 1024 * 1024 * 8 / 4  # the error array would take 8 MiB
 
 
+@pytest.mark.parametrize("n_blocks", [1, 2, 8])
+def test_gram_side_block_losses_are_the_batched_block_grams(n_blocks):
+    w, x = pl.gen_synthetic(_spec(d_in=16 * n_blocks, d_out=512, d_batch=512,
+                                  outlier_count=2, outlier_magnitude=10.0))
+    layer = Layer(w, x)
+    plan = build_layer_plan(layer, "wush", nvfp4_scheme(), seed=4)
+    a, b = pl._factors(plan, layer.x, layer.w)
+    k = a.shape[0] * a.shape[1]
+    assert k * (512 + 512) <= 512 * 512  # evaluate takes the Gram side
+    rep = pl.evaluate(plan, layer)
+    assert rep.block_losses == tuple(float(v) / (512 * 512) for v in block_gram_losses(a, b))
+
+
 def test_layer_loss_stochastic_reproducible():
     w, x = pl.gen_synthetic(_spec())
     scheme = mxfp4_scheme(rounding=ROUND_STOCHASTIC)
@@ -363,14 +381,14 @@ def test_first_order_gap_small():
 
 def test_sweep_cell_matches_layer_loss_for_deterministic_kinds():
     w, x = pl.gen_synthetic(_spec())
-    a = pl.sweep_cell(w, x, "wush", int4_scheme(), seed=1, r_repeats=5)
+    a = pl.sweep_cell(Layer(w, x), "wush", int4_scheme(), seed=1, r_repeats=5)
     b = pl.layer_loss(w, x, "wush", int4_scheme(), seed=1)
     assert a == b  # repeats only apply to the random-rotation kind
 
 
 def test_sweep_cell_averages_random_rotations():
     w, x = pl.gen_synthetic(_spec())
-    avg = pl.sweep_cell(w, x, "r", int4_scheme(), seed=4, r_repeats=3)
+    avg = pl.sweep_cell(Layer(w, x), "r", int4_scheme(), seed=4, r_repeats=3)
     singles = [
         pl.layer_loss(w, x, "r", int4_scheme(), seed=pl._repeat_seed(4, rep))
         for rep in range(3)
@@ -385,7 +403,7 @@ def test_sweep_cell_averages_random_rotations():
         )
     for r_repeats in (0, 1.5, True):
         with pytest.raises(InvalidSpec):
-            pl.sweep_cell(w, x, "r", int4_scheme(), r_repeats=r_repeats)
+            pl.sweep_cell(Layer(w, x), "r", int4_scheme(), r_repeats=r_repeats)
 
 
 class _StubConfig:
@@ -451,3 +469,56 @@ def test_sweep_rejects_empty_grid():
 
     with pytest.raises(InvalidSpec, match="seed list"):
         pl.sweep(NoSeeds())
+
+
+class _GridConfig(_StubConfig):
+    """Every kind and preset with stochastic rounding, two repeats of ``r``."""
+
+    transforms = TRANSFORM_KINDS
+    r_repeats = 2
+
+    def resolved_schemes(self):
+        return [(n, scheme_by_name(n, ROUND_STOCHASTIC)) for n in ("int4", "mxfp4", "nvfp4")]
+
+
+def test_sweep_rows_equal_layer_loss_on_fresh_arrays_per_cell():
+    # the cells of one seed share a Layer; nothing may leak between kinds,
+    # schemes or seeds
+    cfg = _GridConfig()
+    expected = []
+    for kind in cfg.transforms:
+        for name, scheme in cfg.resolved_schemes():
+            for seed in cfg.seeds:
+                reps = [
+                    pl.layer_loss(*cfg.load_data(seed), kind, scheme, seed=pl._repeat_seed(seed, r))
+                    for r in range(cfg.r_repeats if kind == "r" else 1)
+                ]
+                loss = float(np.mean([r.layer_loss for r in reps]))
+                for i in range(len(reps[0].block_losses)):
+                    block = float(np.mean([r.block_losses[i] for r in reps]))
+                    expected.append(pl.SweepRow("synthetic", kind, name, seed, i, block, loss, None))
+    assert pl.sweep(cfg) == expected
+
+
+def test_sweep_computes_moments_and_eigenproblems_once_per_layer(monkeypatch):
+    calls = {"moments": [], "eigen": 0}
+    real_moments, real_eigen = tf.second_moments, tf.sym_eigen
+
+    def moments(w, x, d, damp):
+        calls["moments"].append(d)
+        return real_moments(w, x, d, damp)
+
+    def eigen(m):
+        calls["eigen"] += 1
+        return real_eigen(m)
+
+    monkeypatch.setattr(tf, "second_moments", moments)
+    monkeypatch.setattr(tf, "sym_eigen", eigen)
+    pl.sweep(_GridConfig())
+    # two seeds x group sizes 32 (int4, mxfp4) and 16 (nvfp4) on d_in 64
+    assert sorted(calls["moments"]) == [16, 16, 32, 32]
+    assert calls["eigen"] == 2 * (64 // 32 + 64 // 16)
+    calls["moments"].clear()
+    w, x = pl.gen_synthetic(_spec())
+    pl.layer_loss(w, x, "h", int4_scheme())
+    assert calls["moments"] == []

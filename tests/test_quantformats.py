@@ -49,6 +49,15 @@ def test_fpformat_validation():
     for exp_bits, mant_bits in ((2.0, 1), (2, "1"), (True, 1)):
         with pytest.raises(InvalidSpec, match="_bits"):
             qf.FpFormat(exp_bits, mant_bits)
+    # NaN codes are (exp, mant) integer pairs inside the format's code ranges
+    for nan_codes in (("x",), ((3,),), ((1, 0, 0),), ((1.5, 0),), ((True, 0),), ((9, 0),),
+                      ((4, 0),), ((0, 2),), ((-1, 0),), "ab", 7):
+        with pytest.raises(InvalidSpec, match="nan_codes"):
+            qf.FpFormat(2, 1, nan_codes=nan_codes)
+    fmt = qf.FpFormat(2, 1, nan_codes=[[np.int64(3), 1]])
+    assert fmt.nan_codes == ((3, 1),) and type(fmt.nan_codes[0][0]) is int
+    assert qf.enumerate_grid(fmt)[-1] == 4.0  # the top code left the grid
+    assert qf.E4M3.nan_codes == ((15, 7),) and qf.E8M0.nan_codes == ((255, 0),)
 
 
 # ----------------------------------------------------------- nearest-even

@@ -239,7 +239,7 @@ def test_stack_fails_on_one_bad_block():
 
 def test_plan_block_layout():
     w, x = _random_layer(48, 6, 100, seed=10)
-    plan = tf.build_layer_plan(w, x, "wush", nvfp4_scheme(), seed=0)
+    plan = tf.build_layer_plan(tf.Layer(w, x), "wush", nvfp4_scheme(), seed=0)
     assert plan.n_blocks == 3
     assert plan.d == 16 and plan.d_in == 48 and plan.d_out == 6
     assert plan.t_act.shape == plan.t_weight.shape == (3, 16, 16)
@@ -254,7 +254,7 @@ def test_plan_block_layout():
 def test_plan_matches_single_block_construction():
     w, x = _random_layer(16, 4, 64, seed=11)
     scheme = nvfp4_scheme()
-    plan = tf.build_layer_plan(w, x, "wus", scheme, damp=0.02)
+    plan = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, damp=0.02)
     pair = tf.second_moments(w, x, 16, damp=0.02)
     t_act, t_weight = _one_block("wus", pair.m_w[0], pair.m_x[0])
     np.testing.assert_array_equal(plan.t_act[0], t_act)
@@ -264,7 +264,7 @@ def test_plan_matches_single_block_construction():
 def test_plan_rotation_seeding():
     w, x = _random_layer(64, 4, 64, seed=12)
     scheme = mxfp4_scheme()
-    plan = tf.build_layer_plan(w, x, "r", scheme, seed=7)
+    plan = tf.build_layer_plan(tf.Layer(w, x), "r", scheme, seed=7)
     assert not np.array_equal(plan.t_act[0], plan.t_act[1])
     # block i's rotation is seeded from child i of the plan seed
     children = np.random.SeedSequence(7).spawn(2)
@@ -275,8 +275,8 @@ def test_plan_rotation_seeding():
 
 def test_plan_deterministic():
     w, x = _random_layer(32, 5, 50, seed=13)
-    a = tf.build_layer_plan(w, x, "wush", mxfp4_scheme(), seed=3)
-    b = tf.build_layer_plan(w, x, "wush", mxfp4_scheme(), seed=3)
+    a = tf.build_layer_plan(tf.Layer(w, x), "wush", mxfp4_scheme(), seed=3)
+    b = tf.build_layer_plan(tf.Layer(w, x), "wush", mxfp4_scheme(), seed=3)
     np.testing.assert_array_equal(a.t_act, b.t_act)
     np.testing.assert_array_equal(a.t_weight, b.t_weight)
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
@@ -287,9 +287,9 @@ def test_plan_stochastic_weights_seeded():
 
     w, x = _random_layer(32, 5, 50, seed=14)
     scheme = mxfp4_scheme(rounding=ROUND_STOCHASTIC)
-    a = tf.build_layer_plan(w, x, "wus", scheme, seed=3)
-    b = tf.build_layer_plan(w, x, "wus", scheme, seed=3)
-    c = tf.build_layer_plan(w, x, "wus", scheme, seed=4)
+    a = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=3)
+    b = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=3)
+    c = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=4)
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
     assert not np.array_equal(a.w_hat, c.w_hat)
 
@@ -297,4 +297,65 @@ def test_plan_stochastic_weights_seeded():
 def test_plan_indivisible_d_in():
     w, x = _random_layer(24, 4, 30, seed=15)
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        tf.build_layer_plan(w, x, "wush", nvfp4_scheme())
+        tf.build_layer_plan(tf.Layer(w, x), "wush", nvfp4_scheme())
+
+
+# ---------------------------------------------------------------------------
+# layers
+
+
+def test_layer_checks_once_and_caches_read_only_moments_and_cores():
+    w, x = _random_layer(32, 5, 50, seed=16)
+    layer = tf.Layer(w, x)
+    pair = layer.moments(16, 0.02)
+    assert layer.moments(np.int64(16), np.float64(0.02)) is pair
+    reference = tf.second_moments(w, x, 16, 0.02)
+    np.testing.assert_array_equal(pair.m_w, reference.m_w)
+    np.testing.assert_array_equal(pair.m_x, reference.m_x)
+    core = layer.core(16, 0.02)
+    assert layer.core(16, 0.02) is core and layer.core(16) is not core
+    np.testing.assert_array_equal(core, tf._whitened_core(reference.m_w, reference.m_x)[0])
+    for a in (pair.m_w, pair.m_x, core):
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1.0
+    # wus hands out the cached core itself; wush is its Hadamard rotation
+    wus = tf.build_layer_plan(layer, "wus", nvfp4_scheme(), damp=0.02)
+    wush = tf.build_layer_plan(layer, "wush", nvfp4_scheme(), damp=0.02)
+    assert wus.t_act is core
+    np.testing.assert_array_equal(wush.t_act, hadamard(16) @ core)
+
+
+def test_layer_validation():
+    with pytest.raises(ShapeMismatch):
+        tf.Layer(np.ones((3, 2)), np.ones((4, 2)))
+    with pytest.raises(ShapeMismatch):
+        tf.Layer(np.ones(3), np.ones((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        tf.Layer(np.ones((3, 2)), np.ones((3, 0)))
+    with pytest.raises(NaNInput):
+        tf.Layer(np.array([[np.nan, 1.0]]).T, np.ones((2, 2)))
+    layer = tf.Layer(*_random_layer(32, 5, 50, seed=17))
+    for damp in (True, "0.1", -1.0):
+        with pytest.raises(InvalidSpec, match="damp"):
+            layer.core(16, damp)
+    with pytest.raises(ShapeMismatch, match="block size"):
+        layer.moments(True)
+    w, x = _random_layer(32, 5, 50, seed=17)
+    with pytest.raises(InvalidSpec, match="layer"):
+        tf.build_layer_plan(w, x, "h", nvfp4_scheme())
+
+
+@pytest.mark.parametrize("kind", ["i", "h", "r"])
+def test_orthogonal_plans_read_no_moments_but_check_damp_and_split(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orthogonal kinds do not need moments")
+
+    monkeypatch.setattr(tf, "second_moments", refuse)
+    layer = tf.Layer(*_random_layer(48, 5, 50, seed=18))
+    assert tf.build_layer_plan(layer, kind, nvfp4_scheme()).n_blocks == 3
+    with pytest.raises(InvalidSpec, match="damp"):
+        tf.build_layer_plan(layer, kind, nvfp4_scheme(), damp=-1.0)
+    with pytest.raises(InvalidSpec, match="seed"):
+        tf.build_layer_plan(layer, kind, nvfp4_scheme(), seed=-1)
+    with pytest.raises(ShapeMismatch, match="not divisible"):
+        tf.build_layer_plan(layer, kind, mxfp4_scheme())
