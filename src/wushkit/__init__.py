@@ -24,6 +24,7 @@ from .errors import (
     NotSymmetric,
     NumericalError,
     OutOfRange,
+    Overflow,
     ShapeMismatch,
     Singular,
     TruncatedPayload,

@@ -40,6 +40,10 @@ class NoConvergence(NumericalError):
     """LAPACK ``eigh`` failed to converge on a symmetric eigenproblem."""
 
 
+class Overflow(NumericalError):
+    """A result left the float64 range; scale the inputs down."""
+
+
 # --- quantization ---------------------------------------------------------
 
 class NaNInput(ValidationError):

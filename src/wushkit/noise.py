@@ -18,6 +18,12 @@ where ``(U, S**2)`` eigendecomposes the input's second moment and
 ``(U', S', R)`` are free: ``fp_trace_term`` evaluates the FP objective and
 ``int_bounds`` the INT chain.  ``one_sided_loss_mc`` estimates either loss
 by straight Monte Carlo for cross-checking the algebra.
+
+Memory: ``one_sided_loss_mc`` draws ``_CHUNK`` samples at a time into two
+preallocated ``(chunk, d)`` float64 buffers and does the noise algebra in
+place, with one ``_TILE``-row tile for the FP model's second uniform draw;
+beyond those it holds ``O(chunk)`` per-sample vectors and ``d x d``
+matrices.  ``_CHUNK`` is part of every estimate; ``_TILE`` is not.
 """
 
 from __future__ import annotations
@@ -40,6 +46,44 @@ _LN2 = math.log(2.0)
 #: made chunk by chunk, so this value is part of every estimate.
 _CHUNK = 65536
 
+#: Rows per tile of the FP model's second uniform draw in ``_eta_into``.  A
+#: split draw continues the same stream, so no estimate depends on it.
+_TILE = 256
+
+
+def _eta_into(model: NoiseModel, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous 2-D ``out`` with ``model``'s eta draws, in place.
+
+    ``FpRelative`` draws its element uniforms ``xi`` into ``out``, then its
+    scale uniforms ``xi_t`` ``_TILE`` rows at a time into one tile, both in
+    row-major order from ``rng``; ``IntAbsmax`` draws one uniform per entry.
+    """
+    rng.random(out=out)
+    out -= 0.5
+    if isinstance(model, IntAbsmax):
+        out *= 2.0 ** (1 - model.bits)
+        return out
+    out *= _LN2 * 2.0 ** -model.mant_bits
+    out += 1.0
+    c_t = _LN2 * 2.0 ** -model.scale_mant_bits
+    tile = np.empty((min(_TILE, len(out)), out.shape[1]))
+    for i in range(0, len(out), _TILE):
+        rows = out[i:i + _TILE]
+        xi_t = tile[:len(rows)]
+        rng.random(out=xi_t)
+        xi_t -= 0.5
+        xi_t *= c_t
+        xi_t += 1.0
+        rows *= xi_t
+        rows -= 1.0
+    return out
+
+
+def _sample_eta(model: NoiseModel, rng: np.random.Generator, shape) -> np.ndarray:
+    out = np.empty(shape)
+    _eta_into(model, rng, out.reshape(1, -1))
+    return out
+
 
 @dataclass(frozen=True)
 class FpRelative:
@@ -59,12 +103,7 @@ class FpRelative:
         v2 = _LN2 ** 2 * 4.0 ** -self.scale_mant_bits / 12.0
         return u2 + v2 + u2 * v2
 
-    def sample_eta(self, rng: np.random.Generator, shape) -> np.ndarray:
-        xi = rng.random(shape) - 0.5
-        xi_t = rng.random(shape) - 0.5
-        return (1.0 + _LN2 * 2.0 ** -self.mant_bits * xi) * (
-            1.0 + _LN2 * 2.0 ** -self.scale_mant_bits * xi_t
-        ) - 1.0
+    sample_eta = _sample_eta
 
 
 @dataclass(frozen=True)
@@ -81,8 +120,7 @@ class IntAbsmax:
     def eta_second_moment(self) -> float:
         return 4.0 ** (1 - self.bits) / 12.0
 
-    def sample_eta(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return 2.0 ** (1 - self.bits) * (rng.random(shape) - 0.5)
+    sample_eta = _sample_eta
 
 
 NoiseModel = Union[FpRelative, IntAbsmax]
@@ -182,6 +220,11 @@ def one_sided_loss_mc(
     ``y`` is drawn zero-mean Gaussian with the given second moment.  Returns
     the sample mean and its standard error.  Singular transforms and
     non-positive-definite moments raise through :func:`~wushkit.linalg`.
+
+    Samples are drawn ``_CHUNK`` at a time (part of the estimate) into two
+    ``(chunk, d)`` buffers, reused for every chunk, plus one ``_TILE``-row
+    tile for the FP scale draw (not part of the estimate); the per-sample
+    losses and the INT absmax are ``O(chunk)`` vectors.
     """
     if not isinstance(model, (FpRelative, IntAbsmax)):
         raise ValidationError(f"model: expected FpRelative or IntAbsmax, got {model!r}")
@@ -194,21 +237,23 @@ def one_sided_loss_mc(
         raise ShapeMismatch(f"moment {chol.shape} does not match transform {t_arr.shape}")
     t_inv = invert(t_arr)
     rng = np.random.default_rng(seed)
+    buf_a, buf_b = (np.empty((min(_CHUNK, n_samples), d)) for _ in range(2))
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
         m = min(_CHUNK, remaining)
-        z = rng.standard_normal((m, d))
-        ty = (z @ chol.T) @ t_arr.T
-        eta = model.sample_eta(rng, (m, d))
+        a, b = buf_a[:m], buf_b[:m]
+        rng.standard_normal(out=a)
+        np.matmul(a, chol.T, out=b)
+        np.matmul(b, t_arr.T, out=a)  # a = T y
+        _eta_into(model, rng, b)
         if isinstance(model, IntAbsmax):
-            amp = np.abs(ty).max(axis=1)
-            eps = amp[:, None] * eta
+            b *= np.maximum(a.max(axis=1), -a.min(axis=1))[:, None]  # |T y|_inf
         else:
-            eps = eta * ty
-        back = eps @ t_inv.T
-        li = np.einsum("ij,ij->i", back, back)
+            b *= a
+        np.matmul(b, t_inv.T, out=a)  # a = T^-1 eps
+        li = np.einsum("ij,ij->i", a, a)
         total += float(li.sum())
         total_sq += float((li * li).sum())
         remaining -= m

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidCovariance, InvalidSpec, ShapeMismatch
+from .errors import InvalidCovariance, InvalidSpec, Overflow, ShapeMismatch
 from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 from .transforms import DEFAULT_DAMP, Layer, LayerPlan, build_layer_plan
@@ -183,21 +183,26 @@ def _sq_error(a: np.ndarray, b: np.ndarray, blocks: bool = False):
     Grams when their ``k^2 (m + n) / 2`` multiply-adds are at most half the
     product's ``k m n``, a margin because BLAS runs them slower per flop.
     With ``blocks``, ``(layer, per-block)`` values: each block's from the
-    diagonal blocks of those Grams, or on the product side from its own."""
+    diagonal blocks of those Grams, or on the product side from its own.
+    A value that overflows float64 raises :class:`~.errors.Overflow`."""
     a2, b2 = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
     (k, m), n = a2.shape, b2.shape[1]
-    if k * (m + n) <= m * n:
-        gram_a, gram_b = a2 @ a2.T, b2 @ b2.T
-        raw = float(np.vdot(gram_a, gram_b))
-        if blocks:
-            i, shape = np.arange(len(a)), (len(a), a.shape[1]) * 2
-            gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
-    else:
-        err = a2.T @ b2
-        raw = float(np.vdot(err, err))
-        if blocks:
-            gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
-    return (raw, (gram_a * gram_b).sum(axis=(1, 2))) if blocks else raw
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k * (m + n) <= m * n:
+            gram_a, gram_b = a2 @ a2.T, b2 @ b2.T
+            raw = float(np.vdot(gram_a, gram_b))
+            if blocks:
+                i, shape = np.arange(len(a)), (len(a), a.shape[1]) * 2
+                gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
+        else:
+            err = a2.T @ b2
+            raw = float(np.vdot(err, err))
+            if blocks:
+                gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
+        block_raw = (gram_a * gram_b).sum(axis=(1, 2)) if blocks else raw
+    if not (np.isfinite(raw) and np.isfinite(block_raw).all()):
+        raise Overflow("squared layer error overflows float64")
+    return (raw, block_raw) if blocks else raw
 
 
 def forward_quantized(plan: LayerPlan, x) -> np.ndarray:

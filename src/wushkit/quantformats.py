@@ -333,13 +333,21 @@ def round_bf16(x):
     return rounded.view(np.float32).astype(np.float64)
 
 
-def _scale_min_positive(scheme: QuantScheme) -> float:
-    sf = scheme.scale_format
+@lru_cache(maxsize=32)
+def _scale_min_positive(sf: ScaleFormat) -> float:
+    """The smallest positive value of the scale format ``sf``."""
     if isinstance(sf, Bf16Spec):
         return _BF16_MIN_POSITIVE
     grid = enumerate_grid(sf)
-    positive = grid[grid > 0.0]
-    return float(positive[0])
+    return float(grid[grid > 0.0][0])
+
+
+@lru_cache(maxsize=32)
+def _pow2_exponent_range(sf: FpFormat) -> tuple[int, int]:
+    """Biased float64 exponent fields of the least positive and the largest
+    value of the power-of-two format ``sf``."""
+    ends = (_scale_min_positive(sf), enumerate_grid(sf)[-1])
+    return tuple(int(np.frexp(v)[1]) + 1022 for v in ends)  # 2**k = 0.5 * 2**(k+1)
 
 
 def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
@@ -350,23 +358,21 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     zero anyway for all-zero groups).
     """
     sf = scheme.scale_format
-    min_pos = _scale_min_positive(scheme)
     if isinstance(sf, Bf16Spec):
         # Past the largest finite bf16 the float32 cast gives inf, and the
         # codes 0 * inf = NaN; clamped, the codes saturate instead.
         s = round_bf16(np.minimum(raw, _BF16_MAX))
     elif sf.mant_bits == 0:
         # Power-of-two grid: round the exponent up, so absmax / scale never
-        # exceeds the value grid's max and no value saturates.
-        grid = enumerate_grid(sf)
-        k_lo = int(np.rint(np.log2(grid[0])))
-        k_hi = int(np.rint(np.log2(grid[-1])))
-        frac, e = np.frexp(raw)  # raw = frac * 2**e, frac in [0.5, 1)
-        k = np.clip(e - (frac == 0.5), k_lo, k_hi)
-        s = np.ldexp(1.0, k.astype(np.int64))
+        # exceeds the value grid's max and no value saturates.  The ceiling
+        # is the float64 exponent field, plus one unless the mantissa is
+        # zero; zero, subnormal and negative raw scales clip to the least.
+        bits = raw.view(np.int64)
+        e = (bits >> 52) + ((bits & ((1 << 52) - 1)) != 0)
+        return (np.clip(e, *_pow2_exponent_range(sf)) << 52).view(np.float64)
     else:
         s = rtn_value(raw, sf)
-    return np.where((raw <= 0.0) | (s <= 0.0), min_pos, s)
+    return np.where((raw <= 0.0) | (s <= 0.0), _scale_min_positive(sf), s)
 
 
 def _round_codes(

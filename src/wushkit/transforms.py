@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec, NotPositiveDefinite, ShapeMismatch
+from .errors import InvalidSpec, NotPositiveDefinite, Overflow, ShapeMismatch
 from .linalg import (
     _as_finite, _check_seed, _want, cholesky, hadamard, invert, random_rotation,
     sym_eigen,
@@ -153,23 +153,27 @@ def second_moments(w, x, d: int, damp: float = DEFAULT_DAMP) -> MomentPair:
     Only the blocks are computed.  The ridge is relative,
     ``damp * mean(diag(raw moment)) * I``; the block diagonals together are
     the full moment's diagonal, so a weak block in a strong layer is damped
-    by the layer-wide scale.
+    by the layer-wide scale.  Blocks that overflow float64 raise
+    :class:`~.errors.Overflow`.
     """
     layer = Layer(w, x)
     d_in = layer.w.shape[0]
     d, damp = _check_split(d_in, d, damp)
 
-    def _moment(a: np.ndarray) -> np.ndarray:
+    def _moment(a: np.ndarray, name: str) -> np.ndarray:
         a3 = a.reshape(d_in // d, d, a.shape[1])
-        m = a3 @ a3.transpose(0, 2, 1) / a.shape[1]
-        m = 0.5 * (m + m.transpose(0, 2, 1))
-        if damp > 0.0:
-            # one row-ordered run: the full moment's diagonal
-            diag = np.diagonal(m, axis1=1, axis2=2).ravel()
-            m = m + damp * float(np.mean(diag)) * np.eye(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = a3 @ a3.transpose(0, 2, 1) / a.shape[1]
+            m = 0.5 * (m + m.transpose(0, 2, 1))
+            if damp > 0.0:
+                # one row-ordered run: the full moment's diagonal
+                diag = np.diagonal(m, axis1=1, axis2=2).ravel()
+                m = m + damp * float(np.mean(diag)) * np.eye(d)
+        if not np.isfinite(m).all():
+            raise Overflow(f"{name} moment blocks overflow float64")
         return m
 
-    return MomentPair(m_w=_moment(layer.w), m_x=_moment(layer.x))
+    return MomentPair(m_w=_moment(layer.w, "weight"), m_x=_moment(layer.x, "activation"))
 
 
 def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
@@ -177,8 +181,11 @@ def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
     clamped and descending."""
     w_prime = cholesky(m_w)
     w_prime_t = w_prime.transpose(0, 2, 1)
-    inner = w_prime_t @ m_x @ w_prime
-    inner = 0.5 * (inner + inner.transpose(0, 2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = w_prime_t @ m_x @ w_prime
+        inner = 0.5 * (inner + inner.transpose(0, 2, 1))
+    if not np.isfinite(inner).all():
+        raise Overflow("whitened activation moment overflows float64")
     eig = [sym_eigen(m) for m in inner]  # one LAPACK call per block
     u = np.stack([e.eigenvectors for e in eig])
     lam = np.stack([e.eigenvalues for e in eig])

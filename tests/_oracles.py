@@ -3,8 +3,12 @@
 They are kept simple rather than fast, and the library does not import them.
 """
 
+import math
+
 import numpy as np
 
+from wushkit import noise
+from wushkit.linalg import cholesky, invert
 from wushkit.quantformats import enumerate_grid
 
 
@@ -53,3 +57,43 @@ def block_gram_losses(a, b):
     factor stacks."""
     gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
     return (gram_a * gram_b).sum(axis=(1, 2))
+
+
+def sample_eta_alloc(model, rng, shape):
+    """``model``'s eta from whole-array draws: ``xi`` then (FP) ``xi_t``."""
+    if isinstance(model, noise.IntAbsmax):
+        return 2.0 ** (1 - model.bits) * (rng.random(shape) - 0.5)
+    xi = rng.random(shape) - 0.5
+    xi_t = rng.random(shape) - 0.5
+    return (1.0 + math.log(2.0) * 2.0 ** -model.mant_bits * xi) * (
+        1.0 + math.log(2.0) * 2.0 ** -model.scale_mant_bits * xi_t
+    ) - 1.0
+
+
+def one_sided_loss_mc_alloc(t, moment, model, n_samples, seed):
+    """``noise.one_sided_loss_mc`` as a chunk loop that allocates every
+    intermediate, ``noise._CHUNK`` samples per chunk; no argument checks."""
+    t = np.asarray(t, dtype=np.float64)
+    d = t.shape[0]
+    chol = cholesky(moment)
+    t_inv = invert(t)
+    rng = np.random.default_rng(seed)
+    total = total_sq = 0.0
+    remaining = n_samples
+    while remaining > 0:
+        m = min(noise._CHUNK, remaining)
+        z = rng.standard_normal((m, d))
+        ty = (z @ chol.T) @ t.T
+        eta = sample_eta_alloc(model, rng, (m, d))
+        if isinstance(model, noise.IntAbsmax):
+            eps = np.abs(ty).max(axis=1)[:, None] * eta
+        else:
+            eps = eta * ty
+        back = eps @ t_inv.T
+        li = np.einsum("ij,ij->i", back, back)
+        total += float(li.sum())
+        total_sq += float((li * li).sum())
+        remaining -= m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+    return noise.LossEstimate(value=mean, se=math.sqrt(var / n_samples))

@@ -563,6 +563,20 @@ def test_cli_numerical_failure_exit_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["h", "wush"])
+def test_cli_loss_overflow_exit_2(tmp_path, capsys, kind):
+    w_path = str(tmp_path / "w.wten")
+    x_path = str(tmp_path / "x.wten")
+    rng = np.random.default_rng(0)
+    tensorio.write_tensor(w_path, 1e100 * rng.standard_normal((32, 4)))
+    tensorio.write_tensor(x_path, 1e100 * rng.standard_normal((32, 8)))
+    rc = cli.main(
+        ["loss", "--weights", w_path, "--activations", x_path, "--kind", kind, "--scheme", "int4"]
+    )
+    assert rc == 2
+    assert "overflows float64" in capsys.readouterr().err
+
+
 def test_cli_version():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -1,10 +1,12 @@
 """Noise models, the FP/INT loss functionals, and their Monte Carlo cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from _oracles import one_sided_loss_mc_alloc, sample_eta_alloc
 from wushkit import noise
 from wushkit.errors import InvalidSpec, NaNInput, OutOfRange, ShapeMismatch, ValidationError
 from wushkit.linalg import hadamard, random_rotation
@@ -54,6 +56,14 @@ def test_sampled_eta_matches_moments(model):
     m2 = float((eta * eta).mean())
     se = float((eta * eta).std()) / math.sqrt(eta.size)
     assert abs(m2 - model.eta_second_moment()) <= 4.0 * se
+
+
+@pytest.mark.parametrize("shape", [400_000, (3, 5), (), (0,), (2, 0, 3)], ids=str)
+@pytest.mark.parametrize("model", [noise.FpRelative(2, 4), noise.IntAbsmax(3)], ids=str)
+def test_sample_eta_is_the_whole_array_formula(model, shape):
+    want = sample_eta_alloc(model, np.random.default_rng(7), shape)
+    got = model.sample_eta(np.random.default_rng(7), shape)
+    assert got.shape == np.shape(want) and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +243,58 @@ def test_mc_int_respects_bound_chain():
     scaled = est.value / model.eta_second_moment()
     slack = 4.0 * est.se / model.eta_second_moment()
     assert lo - slack <= scaled <= hi + slack
+
+
+MC_MODELS = [noise.FpRelative(3, 3), noise.IntAbsmax(4)]
+
+
+def _mc_problem(d):
+    moment, _ = noise.random_spd_moment(d, seed=d, spread=1.0)
+    scale = np.linspace(0.5, 2.0, d)[None, :]
+    return random_rotation(d, d + 1) * scale, moment
+
+
+@pytest.mark.parametrize("n_samples", [1000, noise._CHUNK, noise._CHUNK + 1, 140_000])
+@pytest.mark.parametrize("d", [1, 4, 32])
+@pytest.mark.parametrize("model", MC_MODELS, ids=str)
+def test_mc_in_place_loop_is_the_allocating_loop(model, d, n_samples):
+    t, moment = _mc_problem(d)
+    got = noise.one_sided_loss_mc(t, moment, model, n_samples, seed=3)
+    assert got == one_sided_loss_mc_alloc(t, moment, model, n_samples, seed=3)
+
+
+@pytest.mark.parametrize("tile", [1, 7, 2000])
+@pytest.mark.parametrize("d", [1, 4, 32])
+@pytest.mark.parametrize("model", MC_MODELS, ids=str)
+def test_mc_estimate_does_not_depend_on_the_tile(model, d, tile, monkeypatch):
+    # three chunks of 600 and one of 300, against tiles that split them
+    # unevenly, into single rows, or not at all
+    monkeypatch.setattr(noise, "_CHUNK", 600)
+    t, moment = _mc_problem(d)
+    want = one_sided_loss_mc_alloc(t, moment, model, 2100, seed=5)
+    monkeypatch.setattr(noise, "_TILE", tile)
+    assert noise.one_sided_loss_mc(t, moment, model, 2100, seed=5) == want
+
+
+@pytest.mark.parametrize("d, n_samples", [(32, 20_000), (8, 100_000)])
+@pytest.mark.parametrize("model", MC_MODELS, ids=str)
+def test_mc_peak_memory_is_two_chunk_buffers_and_a_tile(model, d, n_samples):
+    t, moment = _mc_problem(d)
+    noise.one_sided_loss_mc(t, moment, model, 10, seed=0)  # warm lazy imports
+    m = min(noise._CHUNK, n_samples)
+    buffers = 2 * m * d * 8  # the two (m, d) float64 chunk buffers
+    # live per-sample vectors: the INT absmax's max, min and its negation
+    # before their maximum, or the losses li and li * li
+    vectors = 4 * m * 8
+    tile = min(noise._TILE, m) * d * 8
+    slack = 16 * d * d * 8 + (64 << 10)  # d x d factors, LAPACK work, scalars
+    tracemalloc.start()
+    try:
+        noise.one_sided_loss_mc(t, moment, model, n_samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + vectors + tile + slack
 
 
 def test_mc_validation():

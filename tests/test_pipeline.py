@@ -8,7 +8,7 @@ import pytest
 from _oracles import block_gram_losses
 from wushkit import pipeline as pl
 from wushkit import transforms as tf
-from wushkit.errors import InvalidCovariance, InvalidSpec, ShapeMismatch
+from wushkit.errors import InvalidCovariance, InvalidSpec, NumericalError, Overflow, ShapeMismatch
 from wushkit.quantformats import (
     E8M0,
     Bf16Spec,
@@ -227,6 +227,18 @@ def test_evaluate_matches_layer_loss():
     b = pl.layer_loss(w, x, "wus", int4_scheme(), seed=2)
     assert a.kind == "wus"
     assert a == b
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_overflowing_loss_is_a_numerical_error_without_warnings(kind):
+    # finite data whose squared error (i, r, h) or whitened moment (wus,
+    # wush) leaves float64; the suite turns any RuntimeWarning into an error
+    w, x = pl.gen_synthetic(_spec(d_out=16, d_batch=40))
+    with pytest.raises(Overflow, match="overflows float64") as exc:
+        pl.layer_loss(w * 1e100, x * 1e100, kind, int4_scheme())
+    assert isinstance(exc.value, NumericalError)
+    with pytest.raises(Overflow):
+        pl.first_order_gap(w * 1e100, x * 1e100, kind, int4_scheme())
 
 
 def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():

@@ -221,6 +221,31 @@ def test_mxfp4_ceil_scale_never_clips():
     assert np.abs(block).max() / g.scale <= 6.0
 
 
+E8M0_MIN, E8M0_MAX = 2.0 ** -127, 2.0 ** 127
+
+
+@pytest.mark.parametrize(
+    "raw, want",
+    [
+        (2.0 ** 3, 2.0 ** 3),  # exactly 2**k stays
+        (np.nextafter(2.0 ** 3, np.inf), 2.0 ** 4),  # the next float up rounds up
+        (np.nextafter(2.0 ** 3, 0.0), 2.0 ** 3),
+        (2.0 ** -1074, E8M0_MIN),  # subnormal
+        (np.nextafter(2.0 ** -1022, 0.0), E8M0_MIN),
+        (2.0 ** -127, E8M0_MIN),
+        (2.0 ** -128, E8M0_MIN),
+        (np.nextafter(2.0 ** -127, np.inf), 2.0 ** -126),
+        (2.0 ** 127, E8M0_MAX),
+        (np.nextafter(2.0 ** 127, np.inf), E8M0_MAX),  # above 2**127 saturates
+        (1e300, E8M0_MAX),
+        (0.0, E8M0_MIN),
+    ],
+)
+def test_mxfp4_scale_probes(raw, want):
+    got = qf._represent_scales(np.array([raw, raw]), qf.mxfp4_scheme())
+    assert got.tolist() == [want, want]
+
+
 def test_nvfp4_scales_roundtrip_e4m3():
     m = np.random.default_rng(3).standard_normal((48, 5))
     scheme = qf.nvfp4_scheme()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from wushkit import transforms as tf
-from wushkit.errors import InvalidSpec, NaNInput, NotPositiveDefinite, ShapeMismatch
+from wushkit.errors import (
+    InvalidSpec, NaNInput, NotPositiveDefinite, NumericalError, Overflow, ShapeMismatch,
+)
 from wushkit.linalg import hadamard, random_rotation
 from wushkit.quantformats import mxfp4_scheme, nvfp4_scheme, quantize_matrix
 
@@ -343,6 +345,20 @@ def test_layer_validation():
     w, x = _random_layer(32, 5, 50, seed=17)
     with pytest.raises(InvalidSpec, match="layer"):
         tf.build_layer_plan(w, x, "h", nvfp4_scheme())
+
+
+@pytest.mark.parametrize("side", ["weight", "activation"])
+def test_layer_moments_that_overflow_are_a_numerical_error(side):
+    w, x = _random_layer(32, 5, 50, seed=19)
+    big = {"weight": (w * 1e160, x), "activation": (w, x * 1e160)}[side]
+    layer = tf.Layer(*big)
+    with pytest.raises(Overflow, match=f"{side} moment blocks overflow") as exc:
+        layer.moments(16)
+    assert isinstance(exc.value, NumericalError)
+    with pytest.raises(Overflow):
+        tf.second_moments(*big, 16)
+    with pytest.raises(Overflow):
+        tf.build_layer_plan(layer, "wush", nvfp4_scheme())
 
 
 @pytest.mark.parametrize("kind", ["i", "h", "r"])
