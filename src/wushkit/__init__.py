@@ -23,7 +23,6 @@ from .errors import (
     NotPowerOfTwo,
     NotSymmetric,
     NumericalError,
-    OutOfRange,
     Overflow,
     ShapeMismatch,
     Singular,
@@ -39,7 +38,6 @@ from .noise import (
     compose_transform,
     fp_trace_term,
     int_bounds,
-    midrise_int_quantizer,
     one_sided_loss_mc,
     random_spd_moment,
 )
@@ -66,7 +64,6 @@ from .stats_bounds import (
     gaussian_max_bound,
     laplacian_max_bound,
     mc_max_sq,
-    survival_expectation,
 )
 from .tensorio import read_tensor, write_tensor
 from .transforms import (

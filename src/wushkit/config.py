@@ -198,16 +198,16 @@ def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        doc = json.loads(p.read_text())
     except OSError as exc:
         raise InvalidSpec(f"{path}: {exc.strerror or exc}") from None
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except ValueError as exc:  # not text, or an integer past Python's digit limit
+        raise InvalidSpec(f"{path}: {exc}") from None
     return parse_config(doc, base_dir=p.parent)
 
 

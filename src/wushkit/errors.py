@@ -54,10 +54,6 @@ class ShapeMismatch(ValidationError):
     pass
 
 
-class OutOfRange(ValidationError):
-    pass
-
-
 # --- tensor files ---------------------------------------------------------
 
 class BadMagic(ValidationError):

@@ -77,7 +77,10 @@ def _want(name: str, value, kind, error=InvalidSpec, low=None):
             what = "an integer" if kind is int else "a number"
             at_least = "" if low is None else f" >= {low}"
             raise error(f"{name}: expected {what}{at_least}, got {value!r}")
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:  # an integer past the float range
+            raise error(f"{name}: expected a number, got an integer past the float range") from None
     if not isinstance(value, kind):
         raise error(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
     return value

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch, ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .linalg import (
     _as_finite, _as_square, _check_seed, _want, _want_fields, cholesky, invert,
     random_rotation,
@@ -260,27 +260,6 @@ def one_sided_loss_mc(
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     return LossEstimate(value=mean, se=math.sqrt(var / n_samples))
-
-
-def midrise_int_quantizer(x: float, s: float, bits: Optional[int] = None) -> float:
-    """The analysis quantizer ``q(x) = (floor(x / s) + 1/2) * s``.
-
-    Never returns zero and satisfies ``|q(x) - x| <= s / 2``.  When ``bits``
-    is given, inputs outside the representable range
-    ``[-2**(bits-1), 2**(bits-1)) * s`` raise :class:`OutOfRange`.
-    """
-    x, s = _want("x", x, float), _want("s", s, float)
-    if s == 0.0 or not math.isfinite(s):
-        raise ValidationError(f"step must be finite and nonzero, got {s}")
-    ratio = x / s
-    if bits is not None:
-        bits = _want("bits", bits, int, low=1)
-        half_range = 2.0 ** (bits - 1)
-        if not -half_range <= ratio < half_range:
-            raise OutOfRange(
-                f"x/s = {ratio:.6g} outside [-2**{bits - 1}, 2**{bits - 1})"
-            )
-    return (math.floor(ratio) + 0.5) * s
 
 
 def random_spd_moment(d: int, seed: int, spread: float = 1.0):

@@ -40,9 +40,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidCovariance, InvalidSpec, Overflow, ShapeMismatch
+from .errors import InvalidCovariance, InvalidSpec, NaNInput, Overflow, ShapeMismatch
 from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
+from .tensorio import MAX_ELEMENTS
 from .transforms import DEFAULT_DAMP, Layer, LayerPlan, build_layer_plan
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
@@ -69,6 +70,8 @@ class SyntheticSpec:
         _check_seed(self.seed)
         if min(self.d_in, self.d_out, self.d_batch) < 1:
             raise InvalidSpec("d_in, d_out, d_batch: synthetic dims must all be >= 1")
+        if self.d_in * max(self.d_out, self.d_batch) > MAX_ELEMENTS:
+            raise InvalidSpec(f"d_in, d_out, d_batch: W or X over the WTEN cap of {MAX_ELEMENTS}")
         if self.tail not in SYNTH_TAILS:
             raise InvalidSpec(f"tail: must be one of {SYNTH_TAILS}, got {self.tail!r}")
         if self.tail == "student_t" and not 2.0 < self.tail_dof < math.inf:
@@ -153,7 +156,8 @@ def _factors(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None):
     weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
     quantizing activations block by block from the plan's one activation
     stream.  ``x`` and ``w`` are checked float64 arrays that must fit the
-    plan."""
+    plan; transformed activations that overflow raise
+    :class:`~.errors.Overflow`."""
     if x.shape[0] != plan.d_in or (w is not None and w.shape != (plan.d_in, plan.d_out)):
         got = x.shape if w is None else (w.shape, x.shape)
         raise ShapeMismatch(
@@ -162,14 +166,19 @@ def _factors(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None):
     n, d = plan.n_blocks, plan.d
     rng = _act_rng(plan)
     b = np.empty((n, 2 * d, x.shape[1]))
-    np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
-    for i in range(n):
-        b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
+    try:
+        for i in range(n):
+            b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
+    except NaNInput:  # x is finite, so t_act x left float64
+        raise Overflow("transformed activations overflow float64") from None
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
     if w is None:
         return None, b
     a = np.empty((n, 2 * d, plan.d_out))
-    np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
+    with np.errstate(over="ignore", invalid="ignore"):  # _sq_error checks the rest
+        np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
     np.subtract(plan.w_hat, a[:, d:], out=a[:, :d])
     return a, b
 

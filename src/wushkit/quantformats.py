@@ -41,7 +41,7 @@ An all-zero group gets the smallest positive representable scale and zero
 codes.  The three shipped presets are ``mxfp4`` (E2M1 values, E8M0
 power-of-two scales, groups of 32), ``nvfp4`` (E2M1 values, E4M3 scales,
 groups of 16) and ``int4`` (integer values, BF16 scales, groups of 32, with
-a Gaussian mean-squared-error clipping factor derived in ``_clip_derivation``).
+a Gaussian mean-squared-error clipping factor derived in ``tests/_oracles.py``).
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ ROUNDING_NAMES = {"nearest": ROUND_NEAREST_EVEN, "stochastic": ROUND_STOCHASTIC}
 
 #: Clipping multiplier for the ``int4`` preset: the (0, 1] factor applied to
 #: a group's absmax before scale computation that minimizes expected squared
-#: error for standard-Gaussian groups of 32.  Frozen from the quadrature in
-#: ``_clip_derivation.gaussian_mse_clip`` (finer grids agree within 0.001,
-#: and an independent Monte Carlo puts the same minimum in the same place);
-#: the derivation test re-runs the search.
+#: error for standard-Gaussian groups of 32.  Frozen from the quadrature
+#: ``gaussian_mse_clip`` in ``tests/_oracles.py`` (finer grids agree within
+#: 0.001, and an independent Monte Carlo puts the same minimum in the same
+#: place); ``test_int4_clip_matches_gaussian_mse_derivation`` re-runs the search.
 INT4_GAUSSIAN_CLIP = 0.9515
 
 

@@ -14,8 +14,7 @@ at a dimension-dependent threshold and union-bound the tail, which is why
 correlations cannot break them; the Monte Carlo harness therefore exercises
 correlated families (equicorrelated Gaussians, common-factor Laplacians
 built as a shared exponential variance mixing a Gaussian) alongside i.i.d.
-ones.  ``survival_expectation`` evaluates the identity itself by adaptive
-Simpson quadrature.
+ones.
 
 ``mc_max_sq`` never draws the d coordinates.  ``max_k X_k^2`` is
 ``(max_k |X_k|)^2``, and the largest of d variables has a closed-form law,
@@ -38,28 +37,24 @@ so each sample is a few uniforms ``U, V, W`` on (0, 1) pushed through it
   ``p_min = p_max (1 - (1 - V)^{1/(d-1)})``, with ``1 - V`` drawn as ``V``
   since it is uniform too.  ``g = Phi^{-1}(W)``.  At d = 1 there is no min.
 
-``Phi^{-1}`` is Wichura's AS241, vectorized (``_ndtri``).  The direct
-sampler that draws every coordinate (``_direct_max_sq``) is kept as the
-reference the tests compare against.
+``Phi^{-1}`` is Wichura's AS241, vectorized (``_ndtri``).  The tests check
+the estimates against references in ``tests/_oracles.py``: a sampler that
+draws every coordinate, and the survival identity itself by adaptive
+Simpson quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidCovariance, InvalidSpec, ValidationError
+from .errors import InvalidCovariance, InvalidSpec
 from .linalg import _check_seed, _want
 
 FAMILIES = ("gaussian", "laplacian")
 COV_STRUCTURES = ("iid", "correlated")
-
-#: Upper integration limit for the survival-identity quadrature, in units of
-#: the marginal scale; the truncated Gaussian tail beyond 12 sigma
-#: contributes less than 1e-30 to E X^2.
-SURVIVAL_HI_SIGMA = 12.0
 
 
 def _check_bound_args(d: float, max_var: float) -> None:
@@ -260,37 +255,6 @@ def _max_sq_from_uniforms(
     return m
 
 
-def _direct_max_sq(
-    rng: np.random.Generator,
-    rows: int,
-    d: int,
-    family: str,
-    cov: str,
-    rho: float,
-    var: float,
-) -> np.ndarray:
-    """Reference sampler: draws all ``d`` coordinates of ``rows`` samples and
-    returns each row's ``max_k X_k^2``.  O(d) per sample; the tests check the
-    order-statistic draw against it."""
-    if family == "gaussian":
-        x = rng.standard_normal((rows, d))
-        if cov == "correlated":
-            g = rng.standard_normal((rows, 1))
-            x = math.sqrt(rho) * g + math.sqrt(1.0 - rho) * x
-        x *= math.sqrt(var)
-    else:
-        # Laplacian: scale b gives variance 2 b^2.  The correlated variant mixes
-        # one exponential variance across the row, leaving marginals Laplacian.
-        b = math.sqrt(var / 2.0)
-        if cov == "iid":
-            x = rng.laplace(0.0, b, (rows, d))
-        else:
-            v = rng.exponential(2.0 * b * b, (rows, 1))
-            x = np.sqrt(v) * rng.standard_normal((rows, d))
-    np.square(x, out=x)
-    return x.max(axis=1)
-
-
 def mc_max_sq(
     family: str,
     d: int,
@@ -345,58 +309,3 @@ def mc_max_sq(
         family=family,
         correlated=(cov == "correlated"),
     )
-
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    half = 0.5 * tol
-    return _adapt(f, a, m, fa, flm, fm, left, half, depth - 1) + _adapt(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-10
-) -> float:
-    """Adaptive Simpson quadrature of ``f`` on ``[a, b]``."""
-    if not b > a:
-        raise ValidationError("integration interval must have b > a")
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = _simpson(fa, fm, fb, b - a)
-    return _adapt(f, a, b, fa, fm, fb, whole, tol, 48)
-
-
-def survival_expectation(
-    g: Callable[[float], float],
-    survival: Callable[[float], float],
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """``integral_0^hi g(t) survival(t) dt``, the layer-cake form of E[G(X)].
-
-    With ``g = G'`` and ``survival(t) = P(|X| >= t)`` this equals ``E G(|X|)``
-    up to the truncated tail beyond ``hi``.
-    """
-    return adaptive_simpson(lambda t: g(t) * survival(t), 0.0, hi, tol)

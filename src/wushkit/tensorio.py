@@ -16,6 +16,7 @@ bit-exact round trips for both dtypes.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -56,8 +57,8 @@ def write_tensor(path, m, dtype: str = "f64") -> None:
         raise InvalidSpec(f"tensor must be bool, integer or real, got dtype {arr.dtype}")
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:
         raise DimOverflow(f"ndim must be in [1, {MAX_NDIM}], got {arr.ndim}")
-    if arr.size > MAX_ELEMENTS:
-        raise DimOverflow(f"tensor has {arr.size} elements, cap is {MAX_ELEMENTS}")
+    if math.prod(max(n, 1) for n in arr.shape) > MAX_ELEMENTS:  # as read_tensor
+        raise DimOverflow(f"tensor shape {arr.shape} exceeds element cap {MAX_ELEMENTS}")
     payload = arr.astype(_DTYPES[code], copy=False)
     header = MAGIC + struct.pack("<BBBB", VERSION, code, arr.ndim, 0)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
@@ -91,10 +92,11 @@ def read_tensor(path) -> np.ndarray:
     if len(raw) < dims_end:
         raise TruncatedPayload(f"{path}: dimension table truncated")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 8)
-    count = 1
+    count = span = 1
     for dim in dims:
         count *= dim
-        if count > MAX_ELEMENTS:
+        span *= max(dim, 1)  # numpy sizes even an empty array by its other dims
+        if span > MAX_ELEMENTS:
             raise DimOverflow(f"{path}: dims {dims} exceed element cap {MAX_ELEMENTS}")
     dt = _DTYPES[code]
     need = dims_end + count * dt.itemsize

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec, NotPositiveDefinite, Overflow, ShapeMismatch
+from .errors import InvalidSpec, NaNInput, NotPositiveDefinite, Overflow, ShapeMismatch
 from .linalg import (
     _as_finite, _check_seed, _want, cholesky, hadamard, invert, random_rotation,
     sym_eigen,
@@ -257,15 +257,20 @@ def build_layer_plan(
     ``damp`` is checked for every kind.  ``seed`` seeds the random-rotation
     blocks (see :func:`build_block`) and, if the scheme requests stochastic
     weight rounding, a stream derived from it, drawn block by block.
+    Transformed weights that overflow float64 raise :class:`~.errors.Overflow`.
     """
     layer = _want("layer", layer, Layer)
     d, _ = _check_split(layer.w.shape[0], scheme.group_size, damp)
     _check_kind(kind, seed)
     n_blocks = layer.w.shape[0] // d
     t_act, t_weight = _pair(kind, (n_blocks, d, d), seed, lambda: layer.core(d, damp))
-    w_t = t_weight @ layer.w.reshape(n_blocks, d, layer.w.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_t = t_weight @ layer.w.reshape(n_blocks, d, layer.w.shape[1])
     wq_rng = None
     if scheme.rounding == ROUND_STOCHASTIC:
         wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))
-    w_hat = np.stack([quantize_matrix(w_i, scheme, wq_rng) for w_i in w_t])
+    try:
+        w_hat = np.stack([quantize_matrix(w_i, scheme, wq_rng) for w_i in w_t])
+    except NaNInput:  # the layer is finite, so t_weight w left float64
+        raise Overflow("transformed weights overflow float64") from None
     return LayerPlan(kind, scheme, damp, seed, t_act, t_weight, w_hat)

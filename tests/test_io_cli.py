@@ -143,6 +143,39 @@ def test_tensor_read_error_paths(tmp_path):
     with pytest.raises(TruncatedPayload, match="payload"):
         tensorio.read_tensor(p)
 
+    # a zero dimension must not hide an oversized one: numpy sizes an empty
+    # array by its other dims, so these shapes are refused on both sides
+    for dims in ((0, 1 << 62), (0, 1 << 32, 1 << 32), (0, 1 << 20, 1 << 20)):
+        p.write_bytes(_header(ndim=len(dims), dims=dims))
+        with pytest.raises(DimOverflow, match="element cap"):
+            tensorio.read_tensor(p)
+    with pytest.raises(DimOverflow, match="element cap"):
+        tensorio.write_tensor(p, np.zeros((0, 1 << 20, 1 << 20)))
+
+
+def test_read_tensor_fuzz_raises_only_validation_errors(tmp_path):
+    # every truncation and every single-bit flip of small f32 and f64 files;
+    # arange data puts a zero in the payload, which a flipped ndim reads as a dim
+    p = tmp_path / "fuzz.wten"
+    cases = 0
+    for shape in ((5,), (2, 3), (1, 2, 2)):
+        for dtype in ("f32", "f64"):
+            tensorio.write_tensor(p, np.arange(np.prod(shape), dtype=float).reshape(shape), dtype)
+            good = p.read_bytes()
+            variants = [good[:n] for n in range(len(good))]
+            for bit in range(8 * len(good)):
+                flipped = bytearray(good)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                variants.append(bytes(flipped))
+            for raw in variants:
+                p.write_bytes(raw)
+                try:
+                    tensorio.read_tensor(p)
+                except ValidationError:
+                    pass
+                cases += 1
+    assert cases == 2916
+
 
 # ---------------------------------------------------------------------------
 # experiment configs
@@ -297,12 +330,50 @@ def test_config_tensor_data_cached_and_relative(tmp_path):
     assert again[0] is got_w and again[1] is got_x
 
 
+def test_integer_past_the_float_range_is_refused(tmp_path, capsys):
+    # a JSON integer such as 1e400 written out in digits: float() overflows
+    huge = 10 ** 400
+    synth = {"d_in": 64, "d_out": 8, "d_batch": 64, "tail_dof": huge}
+    cfg_path = tmp_path / "exp.json"
+    for field, doc in (("damp", _doc(damp=huge)),
+                       ("data.synthetic.tail_dof", _doc(data={"synthetic": synth}))):
+        with pytest.raises(InvalidSpec, match=f"{field}: expected a number, got an integer past"):
+            parse_config(doc)
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {field}: ") and captured.out == ""
+
+
+def test_synthetic_sizes_past_the_wten_cap_are_refused(tmp_path, capsys):
+    # refused before anything is allocated: W would hold 1e20 x 8 elements
+    synth = {"d_in": 10 ** 20, "d_out": 8, "d_batch": 64}
+    with pytest.raises(InvalidSpec, match="data.synthetic.d_in, d_out, d_batch: .* WTEN cap"):
+        parse_config(_doc(data={"synthetic": synth}))
+    with pytest.raises(InvalidSpec, match="WTEN cap"):
+        SyntheticSpec(d_in=1 << 16, d_out=1, d_batch=(1 << 16) + 1)
+    w, x = tmp_path / "w.wten", tmp_path / "x.wten"
+    rc = cli.main(["gen", "--d-in", "100000000000000000000", "--d-out", "8", "--d-batch", "64",
+                   "--weights", str(w), "--activations", str(x)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: d_in, d_out, d_batch: ") and captured.out == ""
+    assert not w.exists() and not x.exists()
+
+
 def test_load_config_error_messages(tmp_path):
     with pytest.raises(InvalidSpec, match="No such file"):
         load_config(tmp_path / "missing.json")
     p = tmp_path / "broken.json"
     p.write_text('{"data": }')
     with pytest.raises(InvalidSpec, match="line 1, column 10"):
+        load_config(p)
+    # an integer past Python's 4300-digit parsing limit, and bytes that are not text
+    p.write_text('{"seeds": [' + "9" * 5000 + "]}")
+    with pytest.raises(InvalidSpec, match="Exceeds the limit"):
+        load_config(p)
+    p.write_bytes(b'\xff\xfe{"data": {}}')
+    with pytest.raises(InvalidSpec, match="can't decode"):
         load_config(p)
 
 
@@ -577,6 +648,18 @@ def test_cli_loss_overflow_exit_2(tmp_path, capsys, kind):
     assert "overflows float64" in capsys.readouterr().err
 
 
+def test_cli_loss_transformed_activation_overflow_exit_2(tmp_path, capsys):
+    # finite activations near the float64 limit that the Hadamard carries past it
+    w_path, x_path = str(tmp_path / "w.wten"), str(tmp_path / "x.wten")
+    tensorio.write_tensor(w_path, np.random.default_rng(0).standard_normal((32, 4)))
+    tensorio.write_tensor(x_path, np.full((32, 8), 1e308))
+    rc = cli.main(
+        ["loss", "--weights", w_path, "--activations", x_path, "--kind", "h", "--scheme", "int4"]
+    )
+    assert rc == 2
+    assert "transformed activations overflow float64" in capsys.readouterr().err
+
+
 def test_cli_version():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -604,12 +687,16 @@ def test_cli_stdout_closed_early_exits_1_without_traceback(unbuffered):
     assert b"BrokenPipeError" not in proc.stderr
 
 
+def _readme_blocks():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("```")[1::2]
+
+
 def _readme_examples():
     """``(argv, expected lines, open-ended)`` for each ``$ wushkit`` block of
     the README, in order; a ``...`` line ends what a block pins down."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = []
-    for block in text.split("```")[1::2]:
+    for block in _readme_blocks():
         lines = block.strip("\n").splitlines()
         if not lines or not lines[0].startswith("$ wushkit "):
             continue
@@ -637,3 +724,12 @@ def test_readme_cli_examples_match_real_output(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out.splitlines()
         got = out[: len(shown)] if open_ended else out
         assert got == shown, " ".join(argv)
+
+
+def test_readme_python_quick_start(capsys):
+    (code,) = [b[len("python\n"):] for b in _readme_blocks() if b.startswith("python\n")]
+    exec(compile(code, "README.md", "exec"), {})
+    losses = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert list(losses) == ["i", "h", "wush"]
+    # the prose's promise: wush comes out well below i on this data
+    assert float(losses["wush"]) < 0.75 * float(losses["i"]), losses

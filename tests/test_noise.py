@@ -8,7 +8,7 @@ import pytest
 
 from _oracles import one_sided_loss_mc_alloc, sample_eta_alloc
 from wushkit import noise
-from wushkit.errors import InvalidSpec, NaNInput, OutOfRange, ShapeMismatch, ValidationError
+from wushkit.errors import InvalidSpec, NaNInput, ShapeMismatch, ValidationError
 from wushkit.linalg import hadamard, random_rotation
 
 LN2 = math.log(2.0)
@@ -314,42 +314,6 @@ def test_mc_validation():
     for model in ("int4", None, noise.IntAbsmax):
         with pytest.raises(ValidationError, match="model"):
             noise.one_sided_loss_mc(np.eye(2), np.eye(2), model, 10, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# analysis quantizer
-
-
-def test_midrise_basics():
-    q = noise.midrise_int_quantizer
-    assert q(0.3, 1.0) == 0.5
-    assert q(-0.3, 1.0) == -0.5
-    assert q(0.0, 1.0) == 0.5  # never returns zero
-    assert q(1.0, 0.5) == 1.25
-
-
-def test_midrise_error_bound_and_nonzero():
-    rng = np.random.default_rng(23)
-    for x in rng.uniform(-20.0, 20.0, size=200):
-        for s in (0.5, 1.0, 3.0):
-            v = noise.midrise_int_quantizer(float(x), s)
-            assert v != 0.0
-            assert abs(v - x) <= s / 2.0 + 1e-12
-
-
-def test_midrise_range_check():
-    noise.midrise_int_quantizer(7.9, 1.0, bits=4)
-    with pytest.raises(OutOfRange):
-        noise.midrise_int_quantizer(8.0, 1.0, bits=4)
-    with pytest.raises(OutOfRange):
-        noise.midrise_int_quantizer(-8.5, 1.0, bits=4)
-    with pytest.raises(ValidationError):
-        noise.midrise_int_quantizer(1.0, 0.0)
-    with pytest.raises(InvalidSpec, match="s: expected a number"):
-        noise.midrise_int_quantizer(1.0, "0.5")
-    for bits in (2.5, True):  # 2.5 would check against +-2**1.5
-        with pytest.raises(InvalidSpec, match="bits"):
-            noise.midrise_int_quantizer(1.0, 1.0, bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,23 @@ def test_overflowing_loss_is_a_numerical_error_without_warnings(kind):
         pl.first_order_gap(w * 1e100, x * 1e100, kind, int4_scheme())
 
 
+@pytest.mark.parametrize("kind", ["h", "r"])
+def test_overflowing_transformed_operands_are_a_numerical_error_without_warnings(kind):
+    # finite data near the float64 limit that t_act x or t_weight w leaves
+    # (checked for h and for the seed-0 rotations of r)
+    w, x = pl.gen_synthetic(_spec(d_out=16, d_batch=40))
+    huge_w, huge_x = np.full_like(w, 1e308), np.full_like(x, 1e308)
+    with pytest.raises(Overflow, match="transformed activations overflow float64"):
+        pl.layer_loss(w, huge_x, kind, int4_scheme())
+    with pytest.raises(Overflow, match="transformed weights overflow float64"):
+        pl.layer_loss(huge_w, x, kind, int4_scheme())
+    plan = build_layer_plan(Layer(w, x), kind, int4_scheme())
+    with pytest.raises(Overflow, match="transformed activations"):
+        pl.forward_quantized(plan, huge_x)
+    with pytest.raises(Overflow):  # weights the plan was not built on
+        pl.evaluate(plan, Layer(huge_w, x))
+
+
 def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
     w, x = pl.gen_synthetic(_spec())
     plan = build_layer_plan(Layer(w, x), "wush", int4_scheme())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wushkit.quantformats as qf
-from _oracles import rtn_even_table, stoch_table
+from _oracles import gaussian_mse_clip, rtn_even_table, stoch_table
 from wushkit import InvalidSpec, NaNInput, ShapeMismatch
 
 E2M1_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
@@ -279,6 +279,11 @@ def test_int4_clip_constant():
             qf.int4_scheme(clipping=clipping)
     with pytest.raises(InvalidSpec, match="group_size"):
         qf.scheme_by_name("int4", group_size=32.0)
+
+
+def test_int4_clip_matches_gaussian_mse_derivation():
+    # the full grid, 0.70 to 1.00 in steps of 0.0005: within half a step
+    assert abs(gaussian_mse_clip() - qf.INT4_GAUSSIAN_CLIP) <= 0.5 * 0.0005
 
 
 # ------------------------------------------------------------ group/matrix

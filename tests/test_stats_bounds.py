@@ -7,12 +7,15 @@ import statistics
 import numpy as np
 import pytest
 
+from _oracles import (
+    SURVIVAL_HI_SIGMA,
+    adaptive_simpson,
+    direct_max_sq,
+    gaussian_cdf,
+    survival_expectation,
+)
 from wushkit import stats_bounds as sb
 from wushkit.errors import InvalidCovariance, InvalidSpec, ValidationError
-
-
-def _phi(t):
-    return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +80,10 @@ def test_mc_gaussian_d1_is_plain_variance():
 
 
 def test_mc_gaussian_d4_matches_quadrature_oracle():
-    oracle = sb.survival_expectation(
+    oracle = survival_expectation(
         lambda t: 2.0 * t,
-        lambda t: 1.0 - (2.0 * _phi(t) - 1.0) ** 4,
-        sb.SURVIVAL_HI_SIGMA,
+        lambda t: 1.0 - (2.0 * gaussian_cdf(t) - 1.0) ** 4,
+        SURVIVAL_HI_SIGMA,
     )
     assert math.isclose(oracle, 2.4702103878495225, rel_tol=1e-10)
     est = sb.mc_max_sq("gaussian", 4, n_samples=200_000, seed=2024)
@@ -89,7 +92,7 @@ def test_mc_gaussian_d4_matches_quadrature_oracle():
 
 def test_mc_laplacian_d4_matches_quadrature_oracle():
     # unit-variance Laplace has scale 1/sqrt(2): P(|X| > t) = exp(-sqrt(2) t)
-    oracle = sb.survival_expectation(
+    oracle = survival_expectation(
         lambda t: 2.0 * t,
         lambda t: 1.0 - (1.0 - math.exp(-math.sqrt(2.0) * t)) ** 4,
         40.0,
@@ -159,24 +162,24 @@ def test_mc_validation():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# the quadrature oracle
 
 
 def test_adaptive_simpson_exact_on_cubic():
-    got = sb.adaptive_simpson(lambda t: 3.0 * t * t * (1.0 - t), 0.0, 1.0)
+    got = adaptive_simpson(lambda t: 3.0 * t * t * (1.0 - t), 0.0, 1.0)
     assert math.isclose(got, 0.25, rel_tol=1e-14)
 
 
 def test_adaptive_simpson_covers_whole_interval():
     # mass concentrated in the upper half must not be dropped
-    assert math.isclose(sb.adaptive_simpson(lambda t: t, 0.0, 2.0), 2.0, rel_tol=1e-13)
-    bump = sb.adaptive_simpson(lambda t: math.exp(-100.0 * (t - 0.9) ** 2), 0.0, 1.0)
+    assert math.isclose(adaptive_simpson(lambda t: t, 0.0, 2.0), 2.0, rel_tol=1e-13)
+    bump = adaptive_simpson(lambda t: math.exp(-100.0 * (t - 0.9) ** 2), 0.0, 1.0)
     half = math.sqrt(math.pi / 100.0)
     assert math.isclose(bump, half * 0.5 * (1.0 + math.erf(1.0)), rel_tol=1e-6)
 
 
 def test_adaptive_simpson_gaussian_integral():
-    got = sb.adaptive_simpson(
+    got = adaptive_simpson(
         lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 0.0, 10.0
     )
     assert math.isclose(got, 1.0, rel_tol=1e-9)
@@ -184,12 +187,12 @@ def test_adaptive_simpson_gaussian_integral():
 
 def test_adaptive_simpson_validation():
     with pytest.raises(ValidationError):
-        sb.adaptive_simpson(lambda t: t, 1.0, 1.0)
+        adaptive_simpson(lambda t: t, 1.0, 1.0)
 
 
 def test_survival_expectation_exponential_moment():
     # X ~ Exp(1): E X^2 = 2 via the layer-cake identity
-    got = sb.survival_expectation(lambda t: 2.0 * t, lambda t: math.exp(-t), 60.0)
+    got = survival_expectation(lambda t: 2.0 * t, lambda t: math.exp(-t), 60.0)
     assert math.isclose(got, 2.0, rel_tol=1e-9)
 
 
@@ -258,10 +261,10 @@ def test_mc_laplacian_iid_matches_renyi_oracle():
 
 def test_mc_gaussian_iid_d1024_matches_quadrature_oracle():
     d = 1024
-    oracle = sb.survival_expectation(
+    oracle = survival_expectation(
         lambda t: 2.0 * t,
-        lambda t: 1.0 - (2.0 * _phi(t) - 1.0) ** d,
-        sb.SURVIVAL_HI_SIGMA,
+        lambda t: 1.0 - (2.0 * gaussian_cdf(t) - 1.0) ** d,
+        SURVIVAL_HI_SIGMA,
     )
     est = sb.mc_max_sq("gaussian", d, n_samples=400_000, seed=5102)
     assert abs(est.empirical - oracle) <= 4.0 * est.se, (oracle, est)
@@ -283,6 +286,6 @@ def test_mc_agrees_with_direct_reference_sampler(family, cov):
     n = 100_000
     for d in (1, 2, 8, 64):
         est = sb.mc_max_sq(family, d, cov, n_samples=n, seed=5105)
-        m = sb._direct_max_sq(np.random.default_rng(5106), n, d, family, cov, 0.5, 1.0)
+        m = direct_max_sq(np.random.default_rng(5106), n, d, family, cov, 0.5, 1.0)
         ref, ref_se = float(m.mean()), float(m.std(ddof=1)) / math.sqrt(n)
         assert abs(est.empirical - ref) <= 4.0 * math.hypot(est.se, ref_se), (d, est, ref)
