@@ -41,11 +41,10 @@ from .noise import (
 )
 from .pipeline import SYNTH_TAILS, SyntheticSpec, gen_synthetic, layer_loss, sweep
 from .quantformats import (
-    E2M1,
-    E4M3,
-    E8M0,
+    FORMATS,
     PRESET_NAMES,
-    ROUNDING_NAMES,
+    ROUND_NEAREST_EVEN,
+    ROUNDINGS,
     FpFormat,
     IntSpec,
     enumerate_grid,
@@ -81,7 +80,7 @@ def _add_cell_args(p):
     p.add_argument("--damp", type=float, default=DEFAULT_DAMP)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--group-size", type=int, default=None)
-    p.add_argument("--rounding", choices=tuple(ROUNDING_NAMES), default="nearest")
+    p.add_argument("--rounding", choices=ROUNDINGS, default=ROUND_NEAREST_EVEN)
 
 
 def build_parser() -> _Parser:
@@ -136,12 +135,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grids", help="print quantizer grids")
     p.add_argument("--format", required=True,
-                   choices=PRESET_NAMES + ("e2m1", "e4m3", "e8m0"))
+                   choices=PRESET_NAMES + tuple(FORMATS))
     return parser
 
 
 def _scheme_from_args(args):
-    return scheme_by_name(args.scheme, ROUNDING_NAMES[args.rounding], args.group_size)
+    return scheme_by_name(args.scheme, args.rounding, args.group_size)
 
 
 def _cmd_gen(args) -> int:
@@ -284,10 +283,8 @@ def _print_grid(label, values):
 
 
 def _cmd_grids(args) -> int:
-    raw = {"e2m1": E2M1, "e4m3": E4M3, "e8m0": E8M0}
-    if args.format in raw:
-        fmt = raw[args.format]
-        _print_grid(args.format, enumerate_grid(fmt))
+    if args.format in FORMATS:
+        _print_grid(args.format, enumerate_grid(FORMATS[args.format]))
         return 0
     scheme = scheme_by_name(args.format)
     vf = scheme.value_format

@@ -38,9 +38,9 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InvalidSpec, ValidationError
-from .linalg import _check_seed, _want, _want_fields
+from .linalg import _check_seed, _show, _want, _want_fields
 from .pipeline import SyntheticSpec, gen_synthetic
-from .quantformats import ROUNDING_NAMES, scheme_by_name
+from .quantformats import ROUND_NEAREST_EVEN, scheme_by_name
 from .tensorio import read_tensor
 from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     damp: float = DEFAULT_DAMP
     group_size: Optional[int] = None
-    rounding: str = "nearest"
+    rounding: str = ROUND_NEAREST_EVEN
     r_repeats: int = 1
     output: Optional[str] = None
     base_dir: Path = Path(".")
@@ -93,15 +93,10 @@ class ExperimentConfig:
             _check_seed(seed, f"seeds[{i}]")
         if not 0 <= self.damp < math.inf:
             raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
-        if self.rounding not in ROUNDING_NAMES:
-            raise InvalidSpec(
-                f"rounding: must be one of {sorted(ROUNDING_NAMES)}, "
-                f"got {self.rounding!r}"
-            )
         if self.r_repeats < 1:
-            raise InvalidSpec(f"r_repeats: must be >= 1, got {self.r_repeats}")
+            raise InvalidSpec(f"r_repeats: must be >= 1, got {_show(self.r_repeats)}")
         self._tensor_cache = None
-        self.resolved_schemes()  # every scheme name and the group size
+        self.resolved_schemes()  # every scheme name, the group size and rounding
 
     # -- data ---------------------------------------------------------------
 
@@ -136,11 +131,8 @@ class ExperimentConfig:
 
     def resolved_schemes(self) -> list:
         """``(name, QuantScheme)`` pairs with config overrides applied."""
-        rounding = ROUNDING_NAMES[self.rounding]
-        return [
-            (s.name, s)
-            for s in (scheme_by_name(n, rounding, self.group_size) for n in self.schemes)
-        ]
+        schemes = (scheme_by_name(n, self.rounding, self.group_size) for n in self.schemes)
+        return [(s.name, s) for s in schemes]
 
     # -- provenance ---------------------------------------------------------
 

@@ -14,7 +14,8 @@ platforms they may differ in the last bits.
 The private ``_want`` is the package's one scalar check: every public entry
 reads its integer, real, string and list parameters through it, a
 dataclass through ``_want_fields`` (its annotations are its schema), and a
-seed through ``_check_seed``, which adds only the sign rule.
+seed through ``_check_seed``, which adds only the sign rule; a refusal
+prints the value through ``_show``, which can print any integer.
 ``_as_finite`` is the one check of an input array (float64, dimension
 count, finite entries).
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from typing import NamedTuple, Optional, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -61,11 +62,20 @@ def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
     return a
 
 
+def _show(value) -> str:
+    """``repr(value)``, or the bit length of an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _want(name: str, value, kind, error=InvalidSpec, low=None):
     """``value`` as ``kind``, or ``error`` naming ``name``.  ``int`` is any
     integral number, ``float`` any real one, neither a bool (numpy's
     included) and both at least ``low`` if it is given; ``tuple[item, ...]``
-    is a list, tuple or 1-D array of items; other kinds are ``isinstance``."""
+    is a list, tuple or 1-D array of items; ``bool`` (numpy's stored as
+    ``bool``), a ``Union`` of classes and other kinds are ``isinstance``."""
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple, np.ndarray)):
             raise error(f"{name}: expected list, got {type(value).__name__}")
@@ -76,13 +86,17 @@ def _want(name: str, value, kind, error=InvalidSpec, low=None):
         if isinstance(value, bool) or not ok or not (low is None or value >= low):
             what = "an integer" if kind is int else "a number"
             at_least = "" if low is None else f" >= {low}"
-            raise error(f"{name}: expected {what}{at_least}, got {value!r}")
+            raise error(f"{name}: expected {what}{at_least}, got {_show(value)}")
         try:
             return kind(value)
         except OverflowError:  # an integer past the float range
             raise error(f"{name}: expected a number, got an integer past the float range") from None
-    if not isinstance(value, kind):
-        raise error(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is bool and isinstance(value, np.bool_):
+        value = bool(value)
+    classes = get_args(kind) if get_origin(kind) is Union else (kind,)
+    if not isinstance(value, classes):
+        want = " or ".join(c.__name__ for c in classes)
+        raise error(f"{name}: expected {want}, got {type(value).__name__}")
     return value
 
 
@@ -91,15 +105,15 @@ _hints = lru_cache(maxsize=None)(get_type_hints)  # a class's resolved annotatio
 
 def _want_fields(obj) -> None:
     """Pass each field of the dataclass ``obj`` annotated ``int``, ``float``,
-    ``str`` or ``tuple[item, ...]`` through ``_want`` and store the result;
-    under ``Optional`` None passes.  Other fields are the caller's."""
+    ``str``, ``bool``, ``tuple[item, ...]`` or a ``Union`` of classes through
+    ``_want`` and store the result (None passes under ``Optional``)."""
     for name, kind in _hints(type(obj)).items():
         value = getattr(obj, name)
         if type(None) in get_args(kind):
             if value is None:
                 continue
             kind = get_args(kind)[0]
-        if kind in (int, float, str) or get_origin(kind) is tuple:
+        if kind in (int, float, str, bool) or get_origin(kind) in (tuple, Union):
             object.__setattr__(obj, name, _want(name, value, kind))
 
 
@@ -192,7 +206,7 @@ def hadamard(d: int) -> np.ndarray:
     """
     d = _want("Hadamard size", d, int, NotPowerOfTwo)
     if d < 1 or (d & (d - 1)) != 0:
-        raise NotPowerOfTwo(f"Hadamard size must be a positive power of 2, got {d}")
+        raise NotPowerOfTwo(f"Hadamard size must be a positive power of 2, got {_show(d)}")
     return _hadamard(d)
 
 

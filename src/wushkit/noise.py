@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import ShapeMismatch, ValidationError
 from .linalg import (
-    _as_finite, _as_square, _check_seed, _want, _want_fields, cholesky, invert,
-    random_rotation,
+    _as_finite, _as_square, _check_seed, _show, _want, _want_fields, cholesky,
+    invert, random_rotation,
 )
 
 _LN2 = math.log(2.0)
@@ -227,7 +227,7 @@ def one_sided_loss_mc(
     losses and the INT absmax are ``O(chunk)`` vectors.
     """
     if not isinstance(model, (FpRelative, IntAbsmax)):
-        raise ValidationError(f"model: expected FpRelative or IntAbsmax, got {model!r}")
+        raise ValidationError(f"model: expected FpRelative or IntAbsmax, got {_show(model)}")
     _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)
     t_arr = _as_square(t, "transform")

@@ -8,8 +8,10 @@ with exponent bias ``2**(a-1) - 1``.  Code (e, m) maps to
 * ``2**(1 - bias) * (m / 2**b)``        when subnormal (e == 0, subnormals on)
 * ``2**(e - bias) * (1 + m / 2**b)``    otherwise
 
-Examples handled here: E2M1 (bias 1, grid 0, 0.5, 1, 1.5, 2, 3, 4, 6),
-E4M3 in the finite-only convention (code e=15/m=7 is NaN, so the max is
+The one NaN a format may have is its all-ones code (``top_nan``), as in the
+OCP microscaling formats, so every other code is a value.  ``FORMATS`` holds
+the three handled here by name: E2M1 (bias 1, grid 0, 0.5, 1, 1.5, 2, 3, 4,
+6), E4M3 in the finite-only convention (code e=15/m=7 is NaN, so the max is
 448), and E8M0 (no sign in use, no zero; the top code is NaN leaving
 ``2**k`` for k in [-127, 127]).  ``IntSpec`` is the symmetric integer grid
 ``{-(2**(b-1)-1), ..., 2**(b-1)-1}``; the most negative two's-complement
@@ -54,14 +56,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
-from .linalg import _as_finite, _want_fields
+from .linalg import _as_finite, _show, _want_fields
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
 
-ROUND_NEAREST_EVEN = "nearest_even"
+ROUND_NEAREST_EVEN = "nearest"
 ROUND_STOCHASTIC = "stochastic"
-#: User-facing rounding names (CLI ``--rounding``, config ``rounding``).
-ROUNDING_NAMES = {"nearest": ROUND_NEAREST_EVEN, "stochastic": ROUND_STOCHASTIC}
+#: The rounding modes, as ``QuantScheme``, the CLI and configs spell them.
+ROUNDINGS = (ROUND_NEAREST_EVEN, ROUND_STOCHASTIC)
 
 #: Clipping multiplier for the ``int4`` preset: the (0, 1] factor applied to
 #: a group's absmax before scale computation that minimizes expected squared
@@ -79,7 +81,7 @@ class FpFormat:
     exp_bits: int
     mant_bits: int
     includes_subnormals: bool = True
-    nan_codes: tuple[tuple[int, ...], ...] = ()  # (exp_code, mant_code) pairs off the grid
+    top_nan: bool = False  # the all-ones code is NaN, not a value
     name: str = ""
 
     def __post_init__(self):
@@ -90,10 +92,6 @@ class FpFormat:
             raise InvalidSpec("mant_bits must be >= 0")
         if self.exp_bits + self.mant_bits > 16:
             raise InvalidSpec("exp_bits + mant_bits must be <= 16")
-        for code in self.nan_codes:
-            ok = len(code) == 2 and 0 <= code[0] < 2 ** self.exp_bits
-            if not (ok and 0 <= code[1] < 2 ** self.mant_bits):
-                raise InvalidSpec(f"nan_codes: {code} is not an (exp, mant) code pair of {self}")
 
     @property
     def bias(self) -> int:
@@ -112,7 +110,7 @@ class IntSpec:
     def __post_init__(self):
         _want_fields(self)
         if not 2 <= self.bits <= 26:
-            raise InvalidSpec(f"integer bits must be in [2, 26], got {self.bits}")
+            raise InvalidSpec(f"integer bits must be in [2, 26], got {_show(self.bits)}")
 
     @property
     def grid_max(self) -> int:
@@ -131,8 +129,9 @@ class Bf16Spec:
 
 
 E2M1 = FpFormat(2, 1, includes_subnormals=True, name="e2m1")
-E4M3 = FpFormat(4, 3, includes_subnormals=True, nan_codes=((15, 7),), name="e4m3")
-E8M0 = FpFormat(8, 0, includes_subnormals=False, nan_codes=((255, 0),), name="e8m0")
+E4M3 = FpFormat(4, 3, includes_subnormals=True, top_nan=True, name="e4m3")
+E8M0 = FpFormat(8, 0, includes_subnormals=False, top_nan=True, name="e8m0")
+FORMATS = {fmt.name: fmt for fmt in (E2M1, E4M3, E8M0)}
 
 _BF16_MIN_POSITIVE = 2.0 ** -126  # smallest positive normal bf16
 _BF16_MAX = (2.0 - 2.0 ** -7) * 2.0 ** 127  # largest finite bf16
@@ -142,36 +141,20 @@ _BF16_MAX = (2.0 - 2.0 ** -7) * 2.0 ** 127  # largest finite bf16
 def enumerate_grid(fmt: FpFormat) -> np.ndarray:
     """All representable magnitudes of ``fmt``, strictly increasing.
 
-    The array index equals the (exp << mant_bits) | mant code.  NaN codes
-    are excluded.
+    The array index equals the ``(exp << mant_bits) | mant`` code: with
+    ``top_nan`` the last code, the NaN, is left off the end.
     """
-    a, b = fmt.exp_bits, fmt.mant_bits
-    bias = fmt.bias
-    excluded = set(fmt.nan_codes)
-    vals = []
-    for e in range(2 ** a):
-        for m_code in range(2 ** b):
-            if (e, m_code) in excluded:
-                continue
-            if fmt.includes_subnormals and e == 0:
-                v = 2.0 ** (1 - bias) * (m_code / 2 ** b)
-            else:
-                v = 2.0 ** (e - bias) * (1.0 + m_code / 2 ** b)
-            vals.append(v)
-    grid = np.array(vals, dtype=np.float64)
+    b = fmt.mant_bits
+    e, m = np.divmod(np.arange(2 ** (fmt.exp_bits + b) - fmt.top_nan), 2 ** b)
+    sub = fmt.includes_subnormals & (e == 0)  # m * 2**(1 - bias - b)
+    with np.errstate(over="ignore"):  # past float64: refused below
+        grid = np.ldexp(np.where(sub, m, m + 2 ** b), e + sub - fmt.bias - b)
     if not np.isfinite(grid).all():
         raise InvalidSpec(f"format {fmt} exceeds float64 range")
     if grid.size < 2 or not np.all(np.diff(grid) > 0):
         raise InvalidSpec(f"format {fmt} does not yield an increasing grid")
     grid.setflags(write=False)
     return grid
-
-
-def _mid_excluded(fmt: FpFormat) -> bool:
-    """True when a NaN code sits below the top code (breaks the binade rule)."""
-    a, b = fmt.exp_bits, fmt.mant_bits
-    top = 2 ** (a + b) - 1
-    return any((e << b) | m != top for (e, m) in fmt.nan_codes)
 
 
 # --- rounding kernels -----------------------------------------------------
@@ -228,10 +211,6 @@ def rtn_value(x, fmt: FpFormat):
     Accepts a scalar or an ndarray; magnitudes beyond the grid clamp to the
     largest representable value.  NaN input raises :class:`NaNInput`.
     """
-    if _mid_excluded(fmt):
-        raise InvalidSpec(
-            f"format {fmt} excludes a non-top code; even-code ties undefined"
-        )
     arr = np.asarray(x, dtype=np.float64)
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
@@ -260,14 +239,12 @@ class QuantScheme:
         _want_fields(self)
         if self.group_size not in VALID_GROUP_SIZES:
             raise InvalidSpec(
-                f"group_size must be one of {VALID_GROUP_SIZES}, got {self.group_size}"
+                f"group_size must be one of {VALID_GROUP_SIZES}, got {_show(self.group_size)}"
             )
         if self.clipping is not None and not 0.0 < self.clipping <= 1.0:
             raise InvalidSpec(f"clipping must lie in (0, 1], got {self.clipping}")
-        if self.rounding not in (ROUND_NEAREST_EVEN, ROUND_STOCHASTIC):
-            raise InvalidSpec(f"unknown rounding mode {self.rounding!r}")
-        if isinstance(self.value_format, FpFormat) and _mid_excluded(self.value_format):
-            raise InvalidSpec("value format with mid-grid NaN codes unsupported")
+        if self.rounding not in ROUNDINGS:
+            raise InvalidSpec(f"rounding: must be one of {ROUNDINGS}, got {self.rounding!r}")
 
     @property
     def grid_max(self) -> float:
@@ -316,7 +293,7 @@ def scheme_by_name(
         builder = _PRESETS[name.lower()]
     except (KeyError, AttributeError):  # AttributeError: name is not a str
         raise InvalidSpec(
-            f"unknown scheme {name!r}; choose from {', '.join(PRESET_NAMES)}"
+            f"unknown scheme {_show(name)}; choose from {', '.join(PRESET_NAMES)}"
         ) from None
     scheme = builder(rounding)
     if group_size is None:

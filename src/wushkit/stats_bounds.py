@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidCovariance, InvalidSpec
-from .linalg import _check_seed, _want
+from .linalg import _check_seed, _show, _want
 
 FAMILIES = ("gaussian", "laplacian")
 COV_STRUCTURES = ("iid", "correlated")
@@ -274,9 +274,9 @@ def mc_max_sq(
     of at most about ``_CHUNK_SCALARS`` live float64 values.
     """
     if family not in FAMILIES:
-        raise InvalidSpec(f"family must be one of {FAMILIES}, got {family!r}")
+        raise InvalidSpec(f"family must be one of {FAMILIES}, got {_show(family)}")
     if cov not in COV_STRUCTURES:
-        raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {cov!r}")
+        raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {_show(cov)}")
     _want("dimension", d, int, low=1)
     _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)

@@ -30,6 +30,7 @@ from .errors import (
     UnsupportedVersion,
     ValidationError,
 )
+from .linalg import _show
 
 MAGIC = b"WTEN"
 VERSION = 1
@@ -52,7 +53,7 @@ def write_tensor(path, m, dtype: str = "f64") -> None:
     elif dtype == "f32":
         code = DTYPE_F32
     else:
-        raise InvalidSpec(f"dtype must be 'f32' or 'f64', got {dtype!r}")
+        raise InvalidSpec(f"dtype must be 'f32' or 'f64', got {_show(dtype)}")
     if arr.dtype.kind not in "biuf":
         raise InvalidSpec(f"tensor must be bool, integer or real, got dtype {arr.dtype}")
     if arr.ndim < 1 or arr.ndim > MAX_NDIM:

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import InvalidSpec, NaNInput, NotPositiveDefinite, Overflow, ShapeMismatch
 from .linalg import (
-    _as_finite, _check_seed, _want, cholesky, hadamard, invert, random_rotation,
-    sym_eigen,
+    _as_finite, _check_seed, _show, _want, cholesky, hadamard, invert,
+    random_rotation, sym_eigen,
 )
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 
@@ -142,7 +142,7 @@ def _check_split(d_in: int, d, damp):
         raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
     d = _want("block size", d, int, ShapeMismatch)
     if d < 1 or d_in % d != 0:
-        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({d})")
+        raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({_show(d)})")
     return d, damp
 
 
@@ -201,7 +201,7 @@ def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
 
 def _check_kind(kind: str, seed) -> None:
     if kind not in TRANSFORM_KINDS:
-        raise InvalidSpec(f"unknown transform kind {kind!r}; choose from {TRANSFORM_KINDS}")
+        raise InvalidSpec(f"unknown transform kind {_show(kind)}; choose from {TRANSFORM_KINDS}")
     _check_seed(seed)
 
 

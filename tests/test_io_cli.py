@@ -291,7 +291,7 @@ def test_config_overrides_flow_into_schemes():
     # without overrides the preset survives untouched
     (_, default_scheme), = parse_config(_doc()).resolved_schemes()
     assert default_scheme.group_size == 32
-    assert default_scheme.rounding == "nearest_even"
+    assert default_scheme.rounding == "nearest"
 
 
 def test_config_synthetic_data_per_seed():
@@ -328,6 +328,30 @@ def test_config_tensor_data_cached_and_relative(tmp_path):
     # same objects on the second call: the pair is loaded once
     again = cfg.load_data(1)
     assert again[0] is got_w and again[1] is got_x
+
+
+def test_load_config_fuzz_raises_only_validation_errors(tmp_path):
+    # every truncation and every single-bit flip of a config with every key
+    doc = _doc(transforms=["i", "r", "h", "wus", "wush"], schemes=["int4", "mxfp4", "nvfp4"],
+               damp=0.01, group_size=16, rounding="stochastic", r_repeats=2, output="o.csv")
+    doc["data"]["synthetic"].update(spectrum_power=1.0, tail="gaussian", outlier_count=1)
+    good = json.dumps(doc).encode()
+    variants = [good[:n] for n in range(len(good))]
+    for bit in range(8 * len(good)):
+        flipped = bytearray(good)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    p = tmp_path / "fuzz.json"
+    parsed = 0
+    for raw in variants:
+        p.write_bytes(raw)
+        try:
+            cfg = load_config(p)
+        except ValidationError:
+            continue
+        assert cfg.rounding in ("nearest", "stochastic")  # a flipped word is refused
+        parsed += 1
+    assert len(variants) == 9 * len(good) and 0 < parsed < len(variants)
 
 
 def test_integer_past_the_float_range_is_refused(tmp_path, capsys):
@@ -458,7 +482,7 @@ def test_cli_plan_persists_blocks(tmp_path, capsys):
     assert w_hat.shape == (4, 16, 8)
     meta = json.loads((out_dir / "plan.json").read_text())
     assert meta["kind"] == "wus" and meta["n_blocks"] == 4
-    assert meta["group_size"] == 16 and meta["rounding"] == "nearest_even"
+    assert meta["group_size"] == 16 and meta["rounding"] == "nearest"
     # pairing survives the file round trip
     np.testing.assert_allclose(t_act[0] @ t_weight[0].T, np.eye(16), atol=1e-10)
     # every block, in order, bit-equal to the plan built in memory

@@ -241,3 +241,28 @@ def test_stacks_and_vectors_are_shape_checked():
     for f in (sym_eigen, cholesky, invert):
         with pytest.raises(ShapeMismatch):
             f(np.ones(3))
+
+
+def test_refusals_name_integers_too_long_to_print(tmp_path):
+    # Python will not print an integer of more than 4300 digits; the
+    # refusal names its bit length instead of failing to format it
+    from wushkit import (
+        IntSpec, ValidationError, build_block, mc_max_sq, one_sided_loss_mc, scheme_by_name,
+        second_moments, write_tensor,
+    )
+
+    huge = 10 ** 5000
+    for error, call in (
+        (InvalidSpec, lambda: mc_max_sq("gaussian", -huge)),
+        (NotPowerOfTwo, lambda: hadamard(3 * huge)),
+        (InvalidSpec, lambda: IntSpec(huge)),
+        (ShapeMismatch, lambda: second_moments(np.ones((4, 2)), np.ones((4, 3)), huge)),
+        (InvalidSpec, lambda: mc_max_sq(huge, 2)),
+        (InvalidSpec, lambda: scheme_by_name(huge)),
+        (InvalidSpec, lambda: scheme_by_name("int4", group_size=huge)),
+        (InvalidSpec, lambda: build_block(huge, np.eye(2)[None], np.eye(2)[None])),
+        (InvalidSpec, lambda: write_tensor(tmp_path / "t.wten", np.ones(2), huge)),
+        (ValidationError, lambda: one_sided_loss_mc(np.eye(2), np.eye(2), huge, 10, 0)),
+    ):
+        with pytest.raises(error, match="an integer of 1661[02] bits"):
+            call()

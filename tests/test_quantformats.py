@@ -49,15 +49,16 @@ def test_fpformat_validation():
     for exp_bits, mant_bits in ((2.0, 1), (2, "1"), (True, 1)):
         with pytest.raises(InvalidSpec, match="_bits"):
             qf.FpFormat(exp_bits, mant_bits)
-    # NaN codes are (exp, mant) integer pairs inside the format's code ranges
-    for nan_codes in (("x",), ((3,),), ((1, 0, 0),), ((1.5, 0),), ((True, 0),), ((9, 0),),
-                      ((4, 0),), ((0, 2),), ((-1, 0),), "ab", 7):
-        with pytest.raises(InvalidSpec, match="nan_codes"):
-            qf.FpFormat(2, 1, nan_codes=nan_codes)
-    fmt = qf.FpFormat(2, 1, nan_codes=[[np.int64(3), 1]])
-    assert fmt.nan_codes == ((3, 1),) and type(fmt.nan_codes[0][0]) is int
+    # the flags are bools (numpy's included), stored as bool
+    for field in ("includes_subnormals", "top_nan"):
+        for value in ("no", 1, None, np.int64(0)):
+            with pytest.raises(InvalidSpec, match=field):
+                qf.FpFormat(2, 1, **{field: value})
+    fmt = qf.FpFormat(2, 1, top_nan=np.True_)
+    assert fmt.top_nan is True
     assert qf.enumerate_grid(fmt)[-1] == 4.0  # the top code left the grid
-    assert qf.E4M3.nan_codes == ((15, 7),) and qf.E8M0.nan_codes == ((255, 0),)
+    assert qf.E4M3.top_nan and qf.E8M0.top_nan and not qf.E2M1.top_nan
+    assert qf.FORMATS == {"e2m1": qf.E2M1, "e4m3": qf.E4M3, "e8m0": qf.E8M0}
 
 
 # ----------------------------------------------------------- nearest-even
@@ -105,8 +106,7 @@ def _formats(exp_bits):
     """Every format with ``exp_bits`` and 0-7 mantissa bits, with and without
     subnormals and a top NaN code, whose grid fits float64."""
     for mant_bits, subnormals, nan in itertools.product(range(8), (True, False), (False, True)):
-        top = ((2 ** exp_bits - 1, 2 ** mant_bits - 1),) if nan else ()
-        fmt = qf.FpFormat(exp_bits, mant_bits, subnormals, top)
+        fmt = qf.FpFormat(exp_bits, mant_bits, subnormals, nan)
         try:
             qf.enumerate_grid(fmt)
         except InvalidSpec:  # fewer than two values
@@ -135,7 +135,7 @@ def _bits(a):
 def test_closed_form_rounding_matches_table_search(exp_bits):
     rng = np.random.default_rng(exp_bits)
     for fmt in _formats(exp_bits):
-        label = f"{fmt} subnormals={fmt.includes_subnormals} nan={fmt.nan_codes}"
+        label = f"{fmt} subnormals={fmt.includes_subnormals} nan={fmt.top_nan}"
         x = _probe_values(fmt, rng)
         np.testing.assert_array_equal(
             _bits(qf._rtn_even(x, fmt)), _bits(rtn_even_table(x, fmt)), err_msg=label
@@ -175,7 +175,7 @@ def test_quantize_matrix_digest(preset, rounding):
     m[16:32, 7] = -0.0
     h = hashlib.sha256()
     for group_size in (16, 32, 64):
-        scheme = qf.scheme_by_name(preset, qf.ROUNDING_NAMES[rounding], group_size)
+        scheme = qf.scheme_by_name(preset, rounding, group_size)
         h.update(qf.quantize_matrix(m, scheme, np.random.default_rng(7)).tobytes())
     assert h.hexdigest() == QUANTIZE_DIGESTS[preset, rounding]
 
@@ -279,6 +279,13 @@ def test_int4_clip_constant():
             qf.int4_scheme(clipping=clipping)
     with pytest.raises(InvalidSpec, match="group_size"):
         qf.scheme_by_name("int4", group_size=32.0)
+    # the formats are instances of their annotated classes, the rounding a word
+    for field, args in (("value_format", ("x", qf.E8M0, 32)),
+                        ("scale_format", (qf.E2M1, qf.IntSpec(4), 32)),
+                        ("rounding", (qf.E2M1, qf.E8M0, 32, None, "nearest_even"))):
+        with pytest.raises(InvalidSpec, match=field):
+            qf.QuantScheme(*args)
+    assert qf.ROUNDINGS == ("nearest", "stochastic")
 
 
 def test_int4_clip_matches_gaussian_mse_derivation():
