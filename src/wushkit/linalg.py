@@ -16,8 +16,9 @@ reads its integer, real, string and list parameters through it, a
 dataclass through ``_want_fields`` (its annotations are its schema), and a
 seed through ``_check_seed``, which adds only the sign rule; a refusal
 prints the value through ``_show``, which can print any integer.
-``_as_finite`` is the one check of an input array (float64, dimension
-count, finite entries).
+``_as_float64`` is the one conversion of an input array (float64, dimension
+count, an integer past the float range refused as non-finite), and
+``_as_finite`` adds the finite-entries check.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from .errors import (
 #: Condition-number estimate (1-norm) above which ``invert`` refuses.
 MAX_CONDITION = 1e12
 
+#: Element cap of any array the package reads or draws (``tensorio`` files,
+#: ``d x d`` rotations and moments).
+MAX_ELEMENTS = 1 << 32
+
 
 class SymEigen(NamedTuple):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -51,12 +56,22 @@ class SymEigen(NamedTuple):
     eigenvalues: np.ndarray
 
 
-def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
-    """``m`` as float64 with ``ndim`` dimensions (any, if None); non-finite
-    entries are refused."""
-    a = np.asarray(m, dtype=np.float64)
+def _as_float64(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """``m`` as float64 (not copied if it is already) with ``ndim``
+    dimensions (any, if None); an integer past the float range is refused as
+    non-finite."""
+    try:
+        a = np.asarray(m, dtype=np.float64)
+    except OverflowError:  # a Python integer past the float range
+        raise NaNInput(f"{name} contains an integer past the float range") from None
     if ndim is not None and a.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
+    return a
+
+
+def _as_finite(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """:func:`_as_float64`, with non-finite entries refused."""
+    a = _as_float64(m, name, ndim)
     if not np.isfinite(a).all():
         raise NaNInput(f"{name} contains non-finite values")
     return a
@@ -125,7 +140,7 @@ def _check_seed(seed, name: str = "seed") -> int:
 def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     """``m`` as float64: one square matrix, or with ``stacked`` a
     ``(..., d, d)`` stack of them; non-finite entries are refused."""
-    a = np.asarray(m, dtype=np.float64)
+    a = _as_float64(m, name)
     if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         want = "a (..., d, d) stack" if stacked else "square 2-D"
         raise ShapeMismatch(f"{name} must be {want}, got shape {a.shape}")
@@ -230,6 +245,8 @@ def random_rotation(d: int, seed: int) -> np.ndarray:
     arXiv:math-ph/0609050).
     """
     d = _want("rotation size", d, int, ShapeMismatch, low=1)
+    if d * d > MAX_ELEMENTS:
+        raise ShapeMismatch(f"rotation size {_show(d)}: d * d exceeds the cap {MAX_ELEMENTS}")
     seed = _check_seed(seed)
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
     return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)

@@ -34,10 +34,10 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ShapeMismatch, ValidationError
+from .errors import InvalidSpec, ShapeMismatch, ValidationError
 from .linalg import (
-    _as_finite, _as_square, _check_seed, _show, _want, _want_fields, cholesky,
-    invert, random_rotation,
+    MAX_ELEMENTS, _as_finite, _as_square, _check_seed, _show, _want, _want_fields,
+    cholesky, invert, random_rotation,
 )
 
 _LN2 = math.log(2.0)
@@ -270,7 +270,8 @@ def random_spd_moment(d: int, seed: int, spread: float = 1.0):
     ``s**2``).  ``spread`` is the log-space sigma: 0 gives the identity
     spectrum, larger values give stronger anisotropy.
     """
-    _want("dimension", d, int, low=1)
+    if _want("dimension", d, int, low=1) ** 2 > MAX_ELEMENTS:
+        raise InvalidSpec(f"dimension {_show(d)}: d * d exceeds the cap {MAX_ELEMENTS}")
     _check_seed(seed)
     if not 0.0 <= _want("spread", spread, float) < math.inf:
         raise ValidationError(f"spread must be finite and nonnegative, got {spread}")

@@ -19,7 +19,9 @@ Losses are evaluated in factored form from one pass over the blocks.  With
 error-sized terms.  With ``A``, ``B`` the ``k = 2 d_in`` stacked rows, the
 squared layer error is ``<A A^T, B B^T>_F`` from two ``k x k`` Grams when
 ``k (d_out + d_batch) <= d_out d_batch``, else ``|A^T B|_F^2`` from one
-product, the only ``d_out x d_batch`` array made.  Block losses are
+product, the only ``d_out x d_batch`` array made.  The side is chosen from
+the shapes first.  The Gram side holds one factor at a time: ``B`` is made,
+its Gram taken and ``B`` dropped before ``A`` is made.  Block losses are
 ``<a_i a_i^T, b_i b_i^T>_F``: on the Gram side the ``2d x 2d`` Grams are the
 diagonal blocks of the two ``k x k`` ones, otherwise they are made per block.
 
@@ -151,18 +153,19 @@ def _act_rng(plan: LayerPlan) -> Optional[np.random.Generator]:
     return np.random.default_rng(np.random.SeedSequence(entropy=(plan.seed, 0xAC)))
 
 
-def _factors(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None):
-    """Stacked factors ``a`` (``n_blocks x 2d x d_out``, None without
-    weights) and ``b`` (``n_blocks x 2d x d_batch``) of the module docstring,
-    quantizing activations block by block from the plan's one activation
-    stream.  ``x`` and ``w`` are checked float64 arrays that must fit the
-    plan; transformed activations that overflow raise
-    :class:`~.errors.Overflow`."""
+def _check_fit(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None) -> None:
     if x.shape[0] != plan.d_in or (w is not None and w.shape != (plan.d_in, plan.d_out)):
         got = x.shape if w is None else (w.shape, x.shape)
         raise ShapeMismatch(
             f"plan wants {plan.d_in} input rows and {plan.d_out} outputs, got shapes {got}"
         )
+
+
+def _act_factor(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
+    """The stacked factor ``b`` (``n_blocks x 2d x d_batch``) of the module
+    docstring for checked float64 activations that fit the plan, quantizing
+    block by block from the plan's one activation stream.  Transformed
+    activations that overflow raise :class:`~.errors.Overflow`."""
     n, d = plan.n_blocks, plan.d
     rng = _act_rng(plan)
     b = np.empty((n, 2 * d, x.shape[1]))
@@ -174,44 +177,54 @@ def _factors(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None):
     except NaNInput:  # x is finite, so t_act x left float64
         raise Overflow("transformed activations overflow float64") from None
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
-    if w is None:
-        return None, b
+    return b
+
+
+def _weight_factor(plan: LayerPlan, w: np.ndarray) -> np.ndarray:
+    """The stacked factor ``a`` (``n_blocks x 2d x d_out``) for checked
+    float64 weights that fit the plan; overflow is left to :func:`_finite`."""
+    n, d = plan.n_blocks, plan.d
     a = np.empty((n, 2 * d, plan.d_out))
-    with np.errstate(over="ignore", invalid="ignore"):  # _sq_error checks the rest
+    with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
     np.subtract(plan.w_hat, a[:, d:], out=a[:, :d])
-    return a, b
+    return a
 
 
 def _rel_gap(total: float, approx: float) -> float:
     return abs(total - approx) / total if total > 0.0 else 0.0
 
 
-def _sq_error(a: np.ndarray, b: np.ndarray, blocks: bool = False):
-    """``|A^T B|_F^2`` of the ``k x m``, ``k x n`` stacked factors; from the
-    Grams when their ``k^2 (m + n) / 2`` multiply-adds are at most half the
-    product's ``k m n``, a margin because BLAS runs them slower per flop.
-    With ``blocks``, ``(layer, per-block)`` values: each block's from the
-    diagonal blocks of those Grams, or on the product side from its own.
-    A value that overflows float64 raises :class:`~.errors.Overflow`."""
-    a2, b2 = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
-    (k, m), n = a2.shape, b2.shape[1]
+def _gram_side(k: int, m: int, n: int) -> bool:
+    """Whether ``|A^T B|_F^2`` of ``k x m`` and ``k x n`` stacked factors is
+    taken from the Grams: when their ``k^2 (m + n) / 2`` multiply-adds are at
+    most half the product's ``k m n``, a margin because BLAS runs them slower
+    per flop."""
+    return k * (m + n) <= m * n
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """The ``k x k`` Gram of the stacked rows of a factor."""
+    f2 = f.reshape(-1, f.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if k * (m + n) <= m * n:
-            gram_a, gram_b = a2 @ a2.T, b2 @ b2.T
-            raw = float(np.vdot(gram_a, gram_b))
-            if blocks:
-                i, shape = np.arange(len(a)), (len(a), a.shape[1]) * 2
-                gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
-        else:
-            err = a2.T @ b2
-            raw = float(np.vdot(err, err))
-            if blocks:
-                gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
-        block_raw = (gram_a * gram_b).sum(axis=(1, 2)) if blocks else raw
-    if not (np.isfinite(raw) and np.isfinite(block_raw).all()):
+        return f2 @ f2.T
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.vdot(u, v))
+
+
+def _product_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """``|A^T B|_F^2`` from the product, the only ``d_out x d_batch`` array made."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    return _inner(err, err)
+
+
+def _finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
         raise Overflow("squared layer error overflows float64")
-    return (raw, block_raw) if blocks else raw
 
 
 def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
@@ -220,8 +233,9 @@ def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
     Stochastic schemes round activations from a stream derived from the plan
     seed, the same one :func:`evaluate` uses.
     """
-    _, b = _factors(plan, _as_finite(x, "activations", 2))
-    q = b[:, : plan.d].reshape(plan.d_in, b.shape[-1])
+    x = _as_finite(x, "activations", 2)
+    _check_fit(plan, x)
+    q = _act_factor(plan, x)[:, : plan.d].reshape(plan.d_in, x.shape[1])
     return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
@@ -230,9 +244,24 @@ def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
     which must have the plan's ``d_in`` and ``d_out``; it may differ from
     the layer the plan was built on (say, a held-out split)."""
     layer = _want("layer", layer, Layer)
-    a, b = _factors(plan, layer.x, layer.w)
-    norm = plan.d_out * b.shape[-1]
-    raw, block_raw = _sq_error(a, b, blocks=True)
+    x, w = layer.x, layer.w
+    _check_fit(plan, x, w)
+    if _gram_side(2 * plan.d_in, plan.d_out, x.shape[1]):
+        gram_b = _gram(_act_factor(plan, x))  # one factor alive at a time
+        gram_a = _gram(_weight_factor(plan, w))
+        raw = _inner(gram_a, gram_b)
+        i, shape = np.arange(plan.n_blocks), (plan.n_blocks, 2 * plan.d) * 2
+        gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
+    else:
+        b = _act_factor(plan, x)
+        a = _weight_factor(plan, w)
+        raw = _product_sq(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        block_raw = (gram_a * gram_b).sum(axis=(1, 2))
+    _finite(raw, block_raw)
+    norm = plan.d_out * x.shape[1]
     loss = raw / norm
     blocks = tuple(float(v) / norm for v in block_raw)
     return LossReport(
@@ -264,11 +293,22 @@ def first_order_gap(
     """
     layer = Layer(w, x)
     plan = build_layer_plan(layer, kind, scheme, damp, seed)
-    a, b = _factors(plan, layer.x, layer.w)
-    norm = plan.d_out * b.shape[-1]
-    loss = _sq_error(a, b) / norm
-    b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
-    fo = _sq_error(a, b) / norm
+    b = _act_factor(plan, layer.x)
+    if _gram_side(2 * plan.d_in, plan.d_out, b.shape[-1]):
+        grams_b = [_gram(b)]  # then b is dropped before a is made
+        b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
+        grams_b.append(_gram(b))
+        del b
+        gram_a = _gram(_weight_factor(plan, layer.w))
+        raw, raw_fo = (_inner(gram_a, g) for g in grams_b)
+    else:
+        a = _weight_factor(plan, layer.w)
+        raw = _product_sq(a, b)
+        b[:, : plan.d] -= b[:, plan.d :]
+        raw_fo = _product_sq(a, b)
+    _finite(raw, raw_fo)
+    norm = plan.d_out * layer.x.shape[1]
+    loss, fo = raw / norm, raw_fo / norm
     return loss, fo, _rel_gap(loss, fo)
 
 

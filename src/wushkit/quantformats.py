@@ -44,6 +44,16 @@ codes.  The three shipped presets are ``mxfp4`` (E2M1 values, E8M0
 power-of-two scales, groups of 32), ``nvfp4`` (E2M1 values, E4M3 scales,
 groups of 16) and ``int4`` (integer values, BF16 scales, groups of 32, with
 a Gaussian mean-squared-error clipping factor derived in ``tests/_oracles.py``).
+
+Memory
+------
+``quantize_matrix`` only reads its argument.  The division by the scales
+makes the one result array, and rounding, clamping and scaling run in place
+on it.  The absmax is ``max(x.max, -x.min)`` per group; max and min carry
+NaN and +-inf, so non-finite input is refused from it before any uniform is
+drawn, with no separate pass.  The FP kernels add one step array, stochastic
+rounding its uniforms and the floor.  ``rtn_value``, ``_rtn_even`` and
+``_stoch`` round a copy of their argument.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
-from .linalg import _as_finite, _show, _want_fields
+from .linalg import _as_float64, _show, _want_fields
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
 
@@ -159,50 +169,76 @@ def enumerate_grid(fmt: FpFormat) -> np.ndarray:
 
 # --- rounding kernels -----------------------------------------------------
 
-def _clamp_and_step(x, fmt: FpFormat):
-    """``x`` clamped to +-max with -0 made +0, and the grid step at each
-    entry, ``2**(max(k, k_lo) - mant_bits)`` for ``2**k <= |x| < 2**(k+1)``.
-    The exponent field of a float64 alone is ``2**k`` (0 for a subnormal)."""
+def _clamp_and_step(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """Clamps ``x`` in place to +-max, with -0 made +0, and returns the grid
+    step at each entry, ``2**(max(k, k_lo) - mant_bits)`` for
+    ``2**k <= |x| < 2**(k+1)``.  The exponent field of a float64 alone is
+    ``2**k`` (0 for a subnormal)."""
     g = enumerate_grid(fmt)
-    x = np.clip(x, -g[-1], g[-1])
+    np.clip(x, -g[-1], g[-1], out=x)
     x += 0.0
     k_lo = 1 - fmt.bias if fmt.includes_subnormals else -fmt.bias
-    bits = np.maximum(x.view(np.int64) & (0x7FF << 52), (k_lo + 1023) << 52)
+    bits = x.view(np.int64).copy()  # an array even for 0-d x, unlike x & mask
+    bits &= 0x7FF << 52
+    np.maximum(bits, (k_lo + 1023) << 52, out=bits)
     bits -= fmt.mant_bits << 52
-    return x, bits.view(np.float64)
+    return bits.view(np.float64)
 
 
-def _rtn_even(x, fmt: FpFormat):
-    """Signed nearest value of ``fmt`` to ``x``, exact ties to the even code:
-    ``rint(x / step)``, as ``n * step`` has a code of ``n``'s parity; with no
-    mantissa bits a tie (1.5 steps) goes down when ``k + bias`` is even."""
-    x, step = _clamp_and_step(x, fmt)
-    q = x / step
-    n = np.rint(q)
+def _gap(x: np.ndarray, fmt: FpFormat):
+    """Where ``x`` lies in ``(-min, min)``, a gap of a format without
+    subnormals; None for a format with them."""
+    if fmt.includes_subnormals:
+        return None
+    gmin = enumerate_grid(fmt)[0]
+    return (x > -gmin) & (x < gmin)
+
+
+def _rtn_even_inplace(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """Rounds ``x``, an array the caller owns, in place to the signed
+    nearest value of ``fmt``, exact ties to the even code: ``rint(x / step)``,
+    as ``n * step`` has a code of ``n``'s parity; with no mantissa bits a tie
+    (1.5 steps) goes down when ``k + bias`` is even."""
+    step = _clamp_and_step(x, fmt)
+    gap = _gap(x, fmt)
+    x /= step
     if fmt.mant_bits == 0:
         even = ((step.view(np.int64) >> 52) - 1023 + fmt.bias) % 2 == 0
-        n = np.where((np.abs(q) == 1.5) & even, np.trunc(q), n)
-    n *= step
-    if not fmt.includes_subnormals:  # the gap (-min, min) rounds to +-min
+        np.trunc(x, out=x, where=(np.abs(x) == 1.5) & even)
+    np.rint(x, out=x)
+    x *= step
+    if gap is not None:  # the gap rounds to +-min; rint kept the sign
+        np.copysign(enumerate_grid(fmt)[0], x, out=x, where=gap)
+    return x
+
+
+def _stoch_inplace(x: np.ndarray, fmt: FpFormat, u) -> np.ndarray:
+    """Rounds ``x``, an array the caller owns, up from the signed grid point
+    below, ``floor(x / step)`` steps, where ``u`` is below the distance from
+    it in steps; ``x`` is left as scratch and the result is a new array."""
+    step = _clamp_and_step(x, fmt)
+    gap = _gap(x, fmt)
+    if gap is not None:  # the gap (-min, min) has no zero
         gmin = enumerate_grid(fmt)[0]
-        n = np.where(np.abs(x) < gmin, np.copysign(gmin, x), n)
+        ends = np.where(u < (x + gmin) / (2.0 * gmin), gmin, -gmin)
+    x /= step
+    n = np.floor(x)
+    x -= n
+    n += u < x  # + False also turns an underflowed -0 into +0
+    n *= step
+    if gap is not None:
+        np.copyto(n, ends, where=gap)
     return n
 
 
-def _stoch(x, fmt: FpFormat, u):
-    """Round ``x`` up from the signed grid point below, ``floor(x / step)``
-    steps, where ``u`` is below the distance from it in steps."""
-    x, step = _clamp_and_step(x, fmt)
-    q = x / step
-    n = np.floor(q)
-    q -= n
-    n += u < q  # + False also turns an underflowed -0 into +0
-    n *= step
-    if not fmt.includes_subnormals:  # the gap (-min, min) has no zero
-        gmin = enumerate_grid(fmt)[0]
-        up = u < (x + gmin) / (2.0 * gmin)
-        n = np.where(np.abs(x) < gmin, np.where(up, gmin, -gmin), n)
-    return n
+def _rtn_even(x, fmt: FpFormat) -> np.ndarray:
+    """:func:`_rtn_even_inplace` on a float64 copy of ``x``."""
+    return _rtn_even_inplace(np.array(x, dtype=np.float64), fmt)
+
+
+def _stoch(x, fmt: FpFormat, u) -> np.ndarray:
+    """:func:`_stoch_inplace` on a float64 copy of ``x``."""
+    return _stoch_inplace(np.array(x, dtype=np.float64), fmt, u)
 
 
 def rtn_value(x, fmt: FpFormat):
@@ -211,7 +247,7 @@ def rtn_value(x, fmt: FpFormat):
     Accepts a scalar or an ndarray; magnitudes beyond the grid clamp to the
     largest representable value.  NaN input raises :class:`NaNInput`.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _as_float64(x, "rtn_value input")
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
     out = _rtn_even(arr, fmt)
@@ -355,29 +391,38 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
 def _round_codes(
     scaled: np.ndarray, scheme: QuantScheme, uniforms: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Round already-scaled values onto the value grid."""
+    """Round already-scaled values, an array the caller owns, onto the value
+    grid; ``scaled`` is rounded in place or left as scratch."""
     vf = scheme.value_format
     nearest = scheme.rounding == ROUND_NEAREST_EVEN
     if isinstance(vf, IntSpec):
         gmax = float(vf.grid_max)
         if nearest:
-            return np.clip(np.rint(scaled), -gmax, gmax)
-        clamped = np.clip(scaled, -gmax, gmax)
-        base = np.floor(clamped)
-        return base + (uniforms < clamped - base)
+            np.rint(scaled, out=scaled)
+            return np.clip(scaled, -gmax, gmax, out=scaled)
+        np.clip(scaled, -gmax, gmax, out=scaled)
+        base = np.floor(scaled)
+        scaled -= base
+        base += uniforms < scaled
+        return base
     if nearest:
-        return _rtn_even(scaled, vf)
-    return _stoch(scaled, vf, uniforms)
+        return _rtn_even_inplace(scaled, vf)
+    return _stoch_inplace(scaled, vf, uniforms)
 
 
-def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng):
-    """Codes and ``(n_blocks, cols)`` scales of ``(n_blocks, d, cols)`` blocks."""
+def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng, name: str):
+    """Codes and ``(n_blocks, cols)`` scales of ``(n_blocks, d, cols)``
+    blocks; ``blocks`` is only read.  Non-finite entries are refused from
+    the absmax, before any uniform is drawn."""
+    amax = np.maximum(blocks.max(axis=1), -blocks.min(axis=1))  # NaN, +-inf carry
+    if not np.isfinite(amax).all():
+        raise NaNInput(f"{name} contains non-finite values")
     stochastic = scheme.rounding == ROUND_STOCHASTIC
     if stochastic and rng is None:
         raise InvalidSpec("stochastic rounding requires an rng")
     n, d, cols = blocks.shape
     clip = 1.0 if scheme.clipping is None else scheme.clipping
-    raw = clip * np.abs(blocks).max(axis=1) / scheme.grid_max
+    raw = clip * amax / scheme.grid_max
     scales = _represent_scales(raw, scheme)
     uniforms = rng.random((n, cols, d)).transpose(0, 2, 1) if stochastic else None
     codes = _round_codes(blocks / scales[:, None, :], scheme, uniforms)
@@ -394,12 +439,12 @@ def quantize_group(
     rounding or clipping pushed past the ends).  In stochastic mode an
     explicit ``rng`` supplies the uniforms; the scale stays deterministic.
     """
-    arr = _as_finite(v, "group values", 1)
+    arr = _as_float64(v, "group values", 1)
     if arr.size != scheme.group_size:
         raise ShapeMismatch(
             f"group must be a vector of length {scheme.group_size}, got shape {arr.shape}"
         )
-    codes, scales = _quantize_blocks(arr.reshape(1, -1, 1), scheme, rng)
+    codes, scales = _quantize_blocks(arr.reshape(1, -1, 1), scheme, rng, "group values")
     codes, scale = codes.ravel(), float(scales[0, 0])
     return QuantizedGroup(codes=codes, scale=scale, dequantized=codes * scale)
 
@@ -416,11 +461,13 @@ def quantize_matrix(
     uniforms at flat position ``b * n_cols + j``.  That is bit-identical to
     :func:`quantize_group` on the sub-columns in that order (blocks
     outermost) with the same ``rng``, and independent of evaluation order.
+    ``m`` is only read (see Memory in the module docstring).
     """
-    arr = _as_finite(m, "matrix", 2)
+    arr = _as_float64(m, "matrix", 2)
     d = scheme.group_size
     rows, cols = arr.shape
     if rows % d != 0:
         raise ShapeMismatch(f"rows ({rows}) not divisible by group size ({d})")
-    codes, scales = _quantize_blocks(arr.reshape(rows // d, d, cols), scheme, rng)
-    return (codes * scales[:, None, :]).reshape(rows, cols)
+    codes, scales = _quantize_blocks(arr.reshape(rows // d, d, cols), scheme, rng, "matrix")
+    codes *= scales[:, None, :]
+    return codes.reshape(rows, cols)

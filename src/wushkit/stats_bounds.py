@@ -54,6 +54,10 @@ from .errors import InvalidCovariance, InvalidSpec
 from .linalg import _check_seed, _show, _want
 
 FAMILIES = ("gaussian", "laplacian")
+
+#: Largest ``d`` for ``mc_max_sq``: the samples take ``log(U) / d`` in float64,
+#: which holds every integer up to it exactly.
+MAX_EXACT_DIMENSION = 2 ** 53
 COV_STRUCTURES = ("iid", "correlated")
 
 
@@ -277,7 +281,8 @@ def mc_max_sq(
         raise InvalidSpec(f"family must be one of {FAMILIES}, got {_show(family)}")
     if cov not in COV_STRUCTURES:
         raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {_show(cov)}")
-    _want("dimension", d, int, low=1)
+    if _want("dimension", d, int, low=1) > MAX_EXACT_DIMENSION:
+        raise InvalidSpec(f"dimension {_show(d)} exceeds 2**53, past exact float64 integers")
     _want("n_samples", n_samples, int, low=2)
     _check_seed(seed)
     if not 0.0 <= _want("rho", rho, float, InvalidCovariance) < 1.0:

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedVersion,
     ValidationError,
 )
-from .linalg import _show
+from .linalg import MAX_ELEMENTS, _show
 
 MAGIC = b"WTEN"
 VERSION = 1
@@ -39,7 +39,6 @@ DTYPE_F64 = 1
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 
 MAX_NDIM = 8
-MAX_ELEMENTS = 1 << 32
 
 
 def write_tensor(path, m, dtype: str = "f64") -> None:

@@ -270,7 +270,8 @@ def build_layer_plan(
     if scheme.rounding == ROUND_STOCHASTIC:
         wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))
     try:
-        w_hat = np.stack([quantize_matrix(w_i, scheme, wq_rng) for w_i in w_t])
+        for w_i in w_t:  # quantized back into the stack, block by block
+            w_i[...] = quantize_matrix(w_i, scheme, wq_rng)
     except NaNInput:  # the layer is finite, so t_weight w left float64
         raise Overflow("transformed weights overflow float64") from None
-    return LayerPlan(kind, scheme, damp, seed, t_act, t_weight, w_hat)
+    return LayerPlan(kind, scheme, damp, seed, t_act, t_weight, w_t)

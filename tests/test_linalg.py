@@ -266,3 +266,40 @@ def test_refusals_name_integers_too_long_to_print(tmp_path):
     ):
         with pytest.raises(error, match="an integer of 1661[02] bits"):
             call()
+
+
+def test_integers_past_the_float_range_are_refused_as_non_finite():
+    from wushkit import E2M1, compose_transform, int4_scheme, quantize_group, quantize_matrix, rtn_value
+
+    huge = 10 ** 5000
+    for call in (
+        lambda: rtn_value(huge, E2M1),
+        lambda: sym_eigen(huge),
+        lambda: cholesky([[huge]]),
+        lambda: compose_transform(huge, [1.0], [[1.0]], [[1.0]], [1.0]),
+        lambda: quantize_matrix([[huge]] * 32, int4_scheme()),
+        lambda: quantize_group([huge] * 32, int4_scheme()),
+    ):
+        with pytest.raises(NaNInput, match="an integer past the float range"):
+            call()
+
+
+def test_size_arguments_are_capped():
+    # d x d draws stop at the element cap; mc_max_sq's d at 2**53, the last
+    # integer float64 holds exactly
+    from wushkit import mc_max_sq, random_spd_moment
+    from wushkit.linalg import MAX_ELEMENTS
+
+    side = int(MAX_ELEMENTS ** 0.5)
+    assert side * side == MAX_ELEMENTS
+    for d in (side + 1, 10 ** 5000):
+        with pytest.raises(ShapeMismatch, match="rotation size"):
+            random_rotation(d, 0)
+        with pytest.raises(InvalidSpec, match="dimension"):
+            random_spd_moment(d, 0)
+    for d in (2 ** 53 + 1, 10 ** 5000):
+        for family, cov in (("gaussian", "iid"), ("laplacian", "correlated")):
+            with pytest.raises(InvalidSpec, match="dimension"):
+                mc_max_sq(family, d, cov, 10)
+    est = mc_max_sq("gaussian", 2 ** 53, "correlated", 10)
+    assert np.isfinite([est.empirical, est.se, est.bound]).all()

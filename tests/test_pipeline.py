@@ -287,7 +287,7 @@ SCHEMES = {
 }
 
 
-# (d_in, d_out, d_batch) of two 2-block layers: _sq_error takes the error
+# (d_in, d_out, d_batch) of two 2-block layers: the loss takes the error
 # product on the first and the Gram form on the second
 DENSE_SHAPES = {"": (64, 8, 256), "-gram": (64, 256, 512)}
 
@@ -350,25 +350,32 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
 def test_sq_error_matches_error_product(n_blocks, m, n):
     # k = 2 d n_blocks stacked rows (64 at two blocks); distinct blocks
     # couple through the cross-block entries of the Grams
+    assert [pl._gram_side(64, 128, cols) for cols in (128, 129, 127)] == [True, True, False]
     rng = np.random.default_rng(17)
     d = 32 // n_blocks
     a = rng.standard_normal((n_blocks, 2 * d, m))
     b = rng.standard_normal((n_blocks, 2 * d, n))
     a2, b2 = a.reshape(-1, m), b.reshape(-1, n)
-    assert pl._sq_error(a, b) == pytest.approx(np.sum((a2.T @ b2) ** 2), rel=1e-12)
+    want = np.sum((a2.T @ b2) ** 2)
+    assert pl._inner(pl._gram(a), pl._gram(b)) == pytest.approx(want, rel=1e-12)
+    assert pl._product_sq(a, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_sq_error_gram_side_makes_no_error_array():
+    # int4 wush at d_in 64, d_out 4096, d_batch 2048: the factor a is 4 MiB,
+    # b 2 MiB and w_hat 2 MiB, so an error array (64 MiB) or both factors
+    # alive at once (8.5 MiB) would break the bound
     rng = np.random.default_rng(18)
-    a = rng.standard_normal((2, 32, 1024))
-    b = rng.standard_normal((2, 32, 1024))
+    w, x = rng.standard_normal((64, 4096)), rng.standard_normal((64, 2048))
+    assert pl._gram_side(2 * 64, 4096, 2048)
+    pl.layer_loss(w, x, "wush", int4_scheme())  # warm the caches of numpy and LAPACK
     tracemalloc.start()
     try:
-        pl._sq_error(a, b)
+        pl.layer_loss(w, x, "wush", int4_scheme())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1024 * 1024 * 8 / 4  # the error array would take 8 MiB
+    assert peak <= 6.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 8])
@@ -377,9 +384,9 @@ def test_gram_side_block_losses_are_the_batched_block_grams(n_blocks):
                                   outlier_count=2, outlier_magnitude=10.0))
     layer = Layer(w, x)
     plan = build_layer_plan(layer, "wush", nvfp4_scheme(), seed=4)
-    a, b = pl._factors(plan, layer.x, layer.w)
+    a, b = pl._weight_factor(plan, layer.w), pl._act_factor(plan, layer.x)
     k = a.shape[0] * a.shape[1]
-    assert k * (512 + 512) <= 512 * 512  # evaluate takes the Gram side
+    assert pl._gram_side(k, 512, 512)  # evaluate takes the Gram side
     rep = pl.evaluate(plan, layer)
     assert rep.block_losses == tuple(float(v) / (512 * 512) for v in block_gram_losses(a, b))
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,112 @@ def test_quantize_matrix_matches_groups(preset, rounding):
 def test_quantize_matrix_rejects_bad_rows():
     with pytest.raises(ShapeMismatch):
         qf.quantize_matrix(np.zeros((33, 2)), qf.mxfp4_scheme())
+
+
+def _reused_inputs(d):
+    """A stacked factor's slice ``b[i, d:]``, a column-strided view, a
+    contiguous matrix and float32 data, with values past the int4 and E2M1
+    ends, tiny ones and signed zeros."""
+    rng = np.random.default_rng(30)
+    b = rng.standard_t(3, (2, 2 * d, 24)) * 4.0
+    b[0, d + 1, :3] = (-0.0, 1e-300, -1e-300)
+    wide = rng.standard_normal((2 * d, 48)) * 8.0
+    return b, {
+        "b[i, d:]": b[0, d:],
+        "strided": wide[:, ::2],
+        "contiguous": np.ascontiguousarray(b[1]),
+        "float32": b[1].astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("rounding", qf.ROUNDINGS)
+@pytest.mark.parametrize("preset", qf.PRESET_NAMES)
+def test_quantizers_leave_their_arguments_unchanged(preset, rounding):
+    # the quantizer rounds in place only on the array it allocated
+    scheme = qf.scheme_by_name(preset, rounding)
+    d = scheme.group_size
+    b, inputs = _reused_inputs(d)
+    b_before = b.copy()
+    for label, m in inputs.items():
+        before = m.copy()
+        got = qf.quantize_matrix(m, scheme, np.random.default_rng(1))
+        np.testing.assert_array_equal(_bits(m), _bits(before), err_msg=label)
+        want = qf.quantize_matrix(before.copy(), scheme, np.random.default_rng(1))
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=label)
+        column = m[:d, 1]  # a strided view into m
+        qf.quantize_group(column, scheme, np.random.default_rng(2))
+        np.testing.assert_array_equal(_bits(m), _bits(before), err_msg=label)
+    np.testing.assert_array_equal(_bits(b), _bits(b_before))
+
+
+@pytest.mark.parametrize("fmt", sorted(qf.FORMATS.values(), key=str), ids=str)
+def test_rounding_kernels_leave_their_arguments_unchanged(fmt):
+    b, inputs = _reused_inputs(32)
+    b_before = b.copy()
+    for label, m in inputs.items():
+        before = m.copy()
+        u = np.random.default_rng(3).random(m.shape)
+        u_before = u.copy()
+        for call in (
+            lambda: qf.rtn_value(m, fmt),
+            lambda: qf._rtn_even(m, fmt),
+            lambda: qf._stoch(m, fmt, u),
+        ):
+            call()
+            np.testing.assert_array_equal(_bits(m), _bits(before), err_msg=label)
+            np.testing.assert_array_equal(u, u_before, err_msg=label)
+    np.testing.assert_array_equal(_bits(b), _bits(b_before))
+
+
+@pytest.mark.parametrize("rounding", qf.ROUNDINGS)
+@pytest.mark.parametrize("preset", qf.PRESET_NAMES)
+def test_non_finite_entries_refused_before_any_draw(preset, rounding):
+    # max and min carry NaN and +-inf into the absmax, at any row of a block
+    scheme = qf.scheme_by_name(preset, rounding)
+    d = scheme.group_size
+    m = np.random.default_rng(31).standard_normal((3 * d, 5))
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in range(d, 2 * d):
+            m_bad = m.copy()
+            m_bad[row, 3] = bad
+            rng = np.random.default_rng(4)
+            state = rng.bit_generator.state
+            with pytest.raises(NaNInput, match="matrix contains non-finite values"):
+                qf.quantize_matrix(m_bad, scheme, rng)
+            assert rng.bit_generator.state == state
+    # the row count is checked first
+    with pytest.raises(ShapeMismatch):
+        qf.quantize_matrix(np.full((d + 1, 2), np.nan), scheme, np.random.default_rng(4))
+
+
+#: tracemalloc peak of ``quantize_matrix`` on a 32 x 4096 block, in output
+#: sizes.  A kernel that made a temporary per pass (``|x|``, the finite mask,
+#: ``x / s``, ``rint``, ``clip``, ``codes * s``) peaked at 3.06 (int4 nearest),
+#: 5.25 (int4 stochastic), 5.07 / 6.25 (mxfp4) and 5.13 / 6.32 (nvfp4).
+#: Nearest int4 allows the result and the small scale arrays; every other
+#: bound is one output size below those peaks.
+QUANTIZE_PEAKS = {
+    ("int4", "nearest"): 1.25,
+    ("int4", "stochastic"): 4.25,
+    ("mxfp4", "nearest"): 4.07,
+    ("mxfp4", "stochastic"): 5.25,
+    ("nvfp4", "nearest"): 4.13,
+    ("nvfp4", "stochastic"): 5.32,
+}
+
+
+@pytest.mark.parametrize("preset,rounding", sorted(QUANTIZE_PEAKS))
+def test_quantize_matrix_traced_peak(preset, rounding):
+    scheme = qf.scheme_by_name(preset, rounding)
+    m = np.random.default_rng(32).standard_normal((32, 4096))
+    qf.quantize_matrix(m, scheme, np.random.default_rng(5))  # fill the grid caches
+    tracemalloc.start()
+    try:
+        out = qf.quantize_matrix(m, scheme, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= QUANTIZE_PEAKS[preset, rounding] * out.nbytes
 
 
 @pytest.mark.parametrize(
