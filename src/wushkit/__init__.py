@@ -69,6 +69,7 @@ from .tensorio import read_tensor, write_tensor
 from .transforms import (
     Layer,
     LayerPlan,
+    PlanSpec,
     build_block,
     build_layer_plan,
     second_moments,

@@ -39,7 +39,7 @@ from .noise import (
     one_sided_loss_mc,
     random_spd_moment,
 )
-from .pipeline import SYNTH_TAILS, SyntheticSpec, gen_synthetic, layer_loss, sweep
+from .pipeline import SYNTH_TAILS, SyntheticSpec, evaluate, gen_synthetic, sweep
 from .quantformats import (
     FORMATS,
     PRESET_NAMES,
@@ -52,7 +52,7 @@ from .quantformats import (
 )
 from .stats_bounds import mc_max_sq
 from .tensorio import read_tensor, write_tensor
-from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
+from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS, Layer, PlanSpec, build_layer_plan
 
 
 class _UsageError(Exception):
@@ -139,8 +139,9 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _scheme_from_args(args):
-    return scheme_by_name(args.scheme, args.rounding, args.group_size)
+def _spec_from_args(args) -> PlanSpec:
+    scheme = scheme_by_name(args.scheme, args.rounding, args.group_size)
+    return PlanSpec(args.kind, scheme, args.damp, args.seed)
 
 
 def _cmd_gen(args) -> int:
@@ -155,27 +156,24 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .transforms import Layer, build_layer_plan
-
-    w = read_tensor(args.weights)
-    x = read_tensor(args.activations)
-    scheme = _scheme_from_args(args)
-    plan = build_layer_plan(Layer(w, x), args.kind, scheme, args.damp, args.seed)
+    layer = Layer(read_tensor(args.weights), read_tensor(args.activations))
+    plan = build_layer_plan(layer, _spec_from_args(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_tensor(out / "t_act.wten", plan.t_act)
     write_tensor(out / "t_weight.wten", plan.t_weight)
     write_tensor(out / "w_hat.wten", plan.w_hat)
+    spec = plan.spec
     meta = {
-        "kind": plan.kind,
-        "scheme": scheme.name,
-        "group_size": plan.d,
+        "kind": spec.kind,
+        "scheme": spec.scheme.name,
+        "group_size": spec.scheme.group_size,
+        "rounding": spec.scheme.rounding,
+        "damp": spec.damp,
+        "seed": spec.seed,
         "n_blocks": plan.n_blocks,
         "d_in": plan.d_in,
         "d_out": plan.d_out,
-        "damp": plan.damp,
-        "seed": plan.seed,
-        "rounding": scheme.rounding,
     }
     (out / "plan.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     print(f"wrote {plan.n_blocks} block transforms to {out}")
@@ -183,15 +181,14 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    w = read_tensor(args.weights)
-    x = read_tensor(args.activations)
-    scheme = _scheme_from_args(args)
-    report = layer_loss(w, x, args.kind, scheme, args.damp, args.seed)
-    print(f"transform:      {report.kind}")
-    print(f"scheme:         {scheme.name}")
-    print(f"group_size:     {report.d}")
-    print(f"seed:           {report.seed}")
-    print(f"damp:           {format_float(report.damp)}")
+    layer = Layer(read_tensor(args.weights), read_tensor(args.activations))
+    report = evaluate(build_layer_plan(layer, _spec_from_args(args)), layer)
+    spec = report.spec
+    print(f"transform:      {spec.kind}")
+    print(f"scheme:         {spec.scheme.name}")
+    print(f"group_size:     {spec.scheme.group_size}")
+    print(f"seed:           {spec.seed}")
+    print(f"damp:           {format_float(spec.damp)}")
     print(f"layer_loss:     {format_float(report.layer_loss)}")
     print(f"layer_loss_raw: {format_float(report.layer_loss_raw)}")
     print(f"additivity_gap: {format_float(report.additivity_gap)}")

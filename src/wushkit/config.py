@@ -32,7 +32,6 @@ directory.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -42,7 +41,7 @@ from .linalg import _check_seed, _show, _want, _want_fields
 from .pipeline import SyntheticSpec, gen_synthetic
 from .quantformats import ROUND_NEAREST_EVEN, scheme_by_name
 from .tensorio import read_tensor
-from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS
+from .transforms import DEFAULT_DAMP, _check_damp, _check_kind
 
 
 def _check_keys(path: str, doc: dict, allowed, required) -> None:
@@ -80,19 +79,14 @@ class ExperimentConfig:
         if not self.transforms:
             raise InvalidSpec("transforms: list is empty")
         for kind in self.transforms:
-            if kind not in TRANSFORM_KINDS:
-                raise InvalidSpec(
-                    f"transforms: unknown kind {kind!r}; "
-                    f"choose from {', '.join(TRANSFORM_KINDS)}"
-                )
+            _check_kind(kind, "transforms")
         if not self.schemes:
             raise InvalidSpec("schemes: list is empty")
         if not self.seeds:
             raise InvalidSpec("seeds: list is empty")
         for i, seed in enumerate(self.seeds):
             _check_seed(seed, f"seeds[{i}]")
-        if not 0 <= self.damp < math.inf:
-            raise InvalidSpec(f"damp: must be finite and nonnegative, got {self.damp}")
+        _check_damp(self.damp)
         if self.r_repeats < 1:
             raise InvalidSpec(f"r_repeats: must be >= 1, got {_show(self.r_repeats)}")
         self._tensor_cache = None

@@ -25,12 +25,12 @@ its Gram taken and ``B`` dropped before ``A`` is made.  Block losses are
 ``<a_i a_i^T, b_i b_i^T>_F``: on the Gram side the ``2d x 2d`` Grams are the
 diagonal blocks of the two ``k x k`` ones, otherwise they are made per block.
 
-The plan-building and scoring functions take a :class:`~.transforms.Layer`:
-``build_layer_plan(layer, kind, scheme, damp, seed)``,
-``evaluate(plan, layer)`` and ``sweep_cell(layer, ...)``, so the cells of one
-layer share its array checks, moments and whitened cores.  ``sweep`` builds
-one ``Layer`` per data seed; ``layer_loss(w, x, ...)`` and
-``first_order_gap(w, x, ...)`` build one at entry.
+The plan-building and scoring functions take a :class:`~.transforms.Layer`
+and a :class:`~.transforms.PlanSpec`: ``build_layer_plan(layer, spec)``,
+``evaluate(plan, layer)`` and ``sweep_cell(layer, spec, r_repeats)``, so the
+cells of one layer share its array checks, moments and whitened cores.
+``sweep`` builds one ``Layer`` per data seed and one spec per cell;
+``layer_loss(w, x, ...)`` and ``first_order_gap(w, x, ...)`` build both.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import InvalidCovariance, InvalidSpec, NaNInput, Overflow, ShapeMis
 from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 from .tensorio import MAX_ELEMENTS
-from .transforms import DEFAULT_DAMP, Layer, LayerPlan, build_layer_plan
+from .transforms import DEFAULT_DAMP, Layer, LayerPlan, PlanSpec, build_layer_plan
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
 
@@ -74,6 +74,8 @@ class SyntheticSpec:
             raise InvalidSpec("d_in, d_out, d_batch: synthetic dims must all be >= 1")
         if self.d_in * max(self.d_out, self.d_batch) > MAX_ELEMENTS:
             raise InvalidSpec(f"d_in, d_out, d_batch: W or X over the WTEN cap of {MAX_ELEMENTS}")
+        if 2 * self.d_in**2 > MAX_ELEMENTS:
+            raise InvalidSpec(f"d_in: two d_in x d_in rotations exceed the cap of {MAX_ELEMENTS}")
         if self.tail not in SYNTH_TAILS:
             raise InvalidSpec(f"tail: must be one of {SYNTH_TAILS}, got {self.tail!r}")
         if self.tail == "student_t" and not 2.0 < self.tail_dof < math.inf:
@@ -134,23 +136,19 @@ def gen_synthetic(spec: SyntheticSpec):
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss summary for one (transform, scheme, seed) cell."""
+    """Loss summary for one cell; the block size is ``spec.scheme.group_size``."""
 
-    kind: str
-    scheme_name: str
-    seed: int
-    d: int
-    damp: float
+    spec: PlanSpec
     layer_loss: float  # per-element normalized
     layer_loss_raw: float  # plain squared Frobenius norm
     block_losses: tuple
     additivity_gap: float  # |layer - sum(blocks)| / layer, 0 if layer == 0
 
 
-def _act_rng(plan: LayerPlan) -> Optional[np.random.Generator]:
-    if plan.scheme.rounding != ROUND_STOCHASTIC:
+def _act_rng(spec: PlanSpec) -> Optional[np.random.Generator]:
+    if spec.scheme.rounding != ROUND_STOCHASTIC:
         return None
-    return np.random.default_rng(np.random.SeedSequence(entropy=(plan.seed, 0xAC)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0xAC)))
 
 
 def _check_fit(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None) -> None:
@@ -167,13 +165,13 @@ def _act_factor(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
     block by block from the plan's one activation stream.  Transformed
     activations that overflow raise :class:`~.errors.Overflow`."""
     n, d = plan.n_blocks, plan.d
-    rng = _act_rng(plan)
+    rng = _act_rng(plan.spec)
     b = np.empty((n, 2 * d, x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
     try:
         for i in range(n):
-            b[i, :d] = quantize_matrix(b[i, d:], plan.scheme, rng)
+            b[i, :d] = quantize_matrix(b[i, d:], plan.spec.scheme, rng)
     except NaNInput:  # x is finite, so t_act x left float64
         raise Overflow("transformed activations overflow float64") from None
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
@@ -265,8 +263,7 @@ def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
     loss = raw / norm
     blocks = tuple(float(v) / norm for v in block_raw)
     return LossReport(
-        plan.kind, str(plan.scheme), plan.seed, plan.d, plan.damp,
-        layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
+        plan.spec, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
         additivity_gap=_rel_gap(loss, sum(blocks)),
     )
 
@@ -274,10 +271,10 @@ def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
 def layer_loss(
     w, x, kind: str, scheme: QuantScheme, damp: float = DEFAULT_DAMP, seed: int = 0
 ) -> LossReport:
-    """Build the ``(kind, scheme, damp, seed)`` plan for ``(w, x)`` and
-    :func:`evaluate` it."""
+    """Build the ``PlanSpec(kind, scheme, damp, seed)`` plan for ``(w, x)``
+    and :func:`evaluate` it."""
     layer = Layer(w, x)
-    return evaluate(build_layer_plan(layer, kind, scheme, damp, seed), layer)
+    return evaluate(build_layer_plan(layer, PlanSpec(kind, scheme, damp, seed)), layer)
 
 
 def first_order_gap(
@@ -292,7 +289,7 @@ def first_order_gap(
     Returns ``(loss, first_order_loss, relative_gap)``.
     """
     layer = Layer(w, x)
-    plan = build_layer_plan(layer, kind, scheme, damp, seed)
+    plan = build_layer_plan(layer, PlanSpec(kind, scheme, damp, seed))
     b = _act_factor(plan, layer.x)
     if _gram_side(2 * plan.d_in, plan.d_out, b.shape[-1]):
         grams_b = [_gram(b)]  # then b is dropped before a is made
@@ -331,24 +328,19 @@ def _repeat_seed(seed: int, rep: int) -> int:
     return int(np.random.SeedSequence((seed, 0x5E, rep)).generate_state(1)[0])
 
 
-def sweep_cell(
-    layer: Layer,
-    kind: str,
-    scheme: QuantScheme,
-    damp: float = DEFAULT_DAMP,
-    seed: int = 0,
-    r_repeats: int = 1,
-) -> LossReport:
+def sweep_cell(layer: Layer, spec: PlanSpec, r_repeats: int = 1) -> LossReport:
     """Loss report for one grid cell of a :class:`~.transforms.Layer`.
 
     Random-rotation cells are averaged over ``r_repeats`` independently
-    seeded rotations; every other kind is deterministic given the seed, so
-    repeats would be identical and are skipped.
+    seeded rotations (the average carries the cell's spec); every other kind
+    is deterministic given the seed, so repeats would be identical and are
+    skipped.
     """
+    spec = _want("spec", spec, PlanSpec)
     _want("r_repeats", r_repeats, int, low=1)
-    reps = r_repeats if kind == "r" else 1
+    reps = r_repeats if spec.kind == "r" else 1
     reports = [
-        evaluate(build_layer_plan(layer, kind, scheme, damp, _repeat_seed(seed, rep)), layer)
+        evaluate(build_layer_plan(layer, replace(spec, seed=_repeat_seed(spec.seed, rep))), layer)
         for rep in range(reps)
     ]
     if reps == 1:
@@ -361,7 +353,7 @@ def sweep_cell(
     loss = float(np.mean([r.layer_loss for r in reports]))
     raw = float(np.mean([r.layer_loss_raw for r in reports]))
     return replace(
-        base, seed=seed, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
+        base, spec=spec, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
         additivity_gap=_rel_gap(loss, sum(blocks)),
     )
 
@@ -393,7 +385,7 @@ def sweep(cfg, timings: bool = False) -> list:
         for kind in transforms:
             for j, (name, scheme) in enumerate(schemes):
                 t0 = perf_counter()
-                rep = sweep_cell(layer, kind, scheme, cfg.damp, seed, cfg.r_repeats)
+                rep = sweep_cell(layer, PlanSpec(kind, scheme, cfg.damp, seed), cfg.r_repeats)
                 elapsed = (perf_counter() - t0) * 1e3 if timings else None
                 cells[kind, j, seed] = [
                     SweepRow(cfg.layer_label, kind, name, seed, b, bl, rep.layer_loss, elapsed)

@@ -19,8 +19,10 @@ the leading Hadamard gives the ``wus`` variant; ``i``, ``h`` and ``r``
 Everything is built on ``(n_blocks, d, d)`` stacks: ``second_moments`` makes
 the moment blocks, ``build_block`` turns a whole stack into the
 ``(t_act, t_weight)`` stacks in one call (a single block is a stack of one),
-and ``build_layer_plan`` adds the pre-quantized weights.  Only the
-eigendecompositions and the weight quantization run block by block.
+and ``build_layer_plan(layer, spec)`` adds the pre-quantized weights for one
+:class:`PlanSpec` (kind, scheme, damp, seed), which checks itself once when
+built.  Only the eigendecompositions and the weight quantization run block
+by block.
 
 A :class:`Layer` holds ``(w, x)``, checked once, and caches the data-only
 work per ``(d, damp)``: the moment blocks and the whitened core
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import InvalidSpec, NaNInput, NotPositiveDefinite, Overflow, ShapeMismatch
 from .linalg import (
-    _as_finite, _check_seed, _show, _want, cholesky, hadamard, invert,
-    random_rotation, sym_eigen,
+    _as_finite, _check_seed, _show, _want, _want_fields, cholesky, hadamard,
+    invert, random_rotation, sym_eigen,
 )
 from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
 
@@ -59,6 +61,38 @@ class MomentPair:
     m_x: np.ndarray
 
 
+def _check_kind(kind, name: str = "kind") -> None:
+    if kind not in TRANSFORM_KINDS:
+        raise InvalidSpec(f"{name}: unknown transform kind {_show(kind)}; "
+                          f"choose from {TRANSFORM_KINDS}")
+
+
+def _check_damp(damp) -> float:
+    """A ridge: a finite float ``>= 0``."""
+    damp = _want("damp", damp, float)
+    if not 0.0 <= damp < np.inf:
+        raise InvalidSpec(f"damp: must be finite and >= 0, got {damp}")
+    return damp
+
+
+@dataclass(frozen=True)
+class PlanSpec:
+    """One cell's settings, each field checked and stored as its annotated
+    type; ``seed`` must be a non-negative integer for every kind."""
+
+    kind: str
+    scheme: QuantScheme
+    damp: float = DEFAULT_DAMP
+    seed: int = 0
+
+    def __post_init__(self):
+        _want_fields(self)
+        _want("scheme", self.scheme, QuantScheme)
+        _check_kind(self.kind)
+        _check_damp(self.damp)
+        _check_seed(self.seed)
+
+
 @dataclass(frozen=True)
 class LayerPlan:
     """Everything needed to run the quantized forward pass of one layer.
@@ -68,10 +102,7 @@ class LayerPlan:
     stacks are read-only views of one broadcast matrix.
     """
 
-    kind: str
-    scheme: QuantScheme
-    damp: float
-    seed: int
+    spec: PlanSpec
     t_act: np.ndarray  # (n_blocks, d, d)
     t_weight: np.ndarray  # (n_blocks, d, d)
     w_hat: np.ndarray  # (n_blocks, d, d_out) pre-quantized (dequantized) t_weight w
@@ -137,9 +168,7 @@ class Layer:
 
 def _check_split(d_in: int, d, damp):
     """``(d, damp)`` checked: a ridge ``>= 0`` and a block size dividing ``d_in``."""
-    damp = _want("damp", damp, float)
-    if not 0.0 <= damp < np.inf:
-        raise InvalidSpec(f"damp must be finite and >= 0, got {damp}")
+    damp = _check_damp(damp)
     d = _want("block size", d, int, ShapeMismatch)
     if d < 1 or d_in % d != 0:
         raise ShapeMismatch(f"d_in ({d_in}) not divisible by block size ({_show(d)})")
@@ -199,12 +228,6 @@ def _whitened_core(m_w: np.ndarray, m_x: np.ndarray):
     return core, lam_c
 
 
-def _check_kind(kind: str, seed) -> None:
-    if kind not in TRANSFORM_KINDS:
-        raise InvalidSpec(f"unknown transform kind {_show(kind)}; choose from {TRANSFORM_KINDS}")
-    _check_seed(seed)
-
-
 def _pair(kind: str, shape, seed: int, core):
     """``(t_act, t_weight)`` stacks of ``shape`` for a checked ``kind``; only
     the adaptive kinds call ``core()`` for their whitened core stack."""
@@ -231,7 +254,8 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
     matters for ``r``, but must be a non-negative integer for every kind.
     The adaptive kinds invert numerically.
     """
-    _check_kind(kind, seed)
+    _check_kind(kind)
+    _check_seed(seed)
     mw = _as_finite(m_w, "m_w", ndim=3)
     mx = _as_finite(m_x, "m_x", ndim=3)
     if mw.shape != mx.shape or mw.shape[1] != mw.shape[2] or mw.shape[0] < 1:
@@ -242,36 +266,30 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
     return _pair(kind, mw.shape, seed, lambda: _whitened_core(mw, mx)[0])
 
 
-def build_layer_plan(
-    layer: Layer,
-    kind: str,
-    scheme: QuantScheme,
-    damp: float = DEFAULT_DAMP,
-    seed: int = 0,
-) -> LayerPlan:
+def build_layer_plan(layer: Layer, spec: PlanSpec) -> LayerPlan:
     """Per-block transforms and pre-quantized weights for a :class:`Layer`.
 
     The transform block size equals the scheme's quantization group size;
     ``d_in`` must be divisible by it.  The adaptive kinds take the layer's
-    cached core for ``(d, damp)``; the orthogonal ones read no moments, but
-    ``damp`` is checked for every kind.  ``seed`` seeds the random-rotation
-    blocks (see :func:`build_block`) and, if the scheme requests stochastic
-    weight rounding, a stream derived from it, drawn block by block.
-    Transformed weights that overflow float64 raise :class:`~.errors.Overflow`.
+    cached core for ``(d, damp)``; the orthogonal ones read no moments.
+    ``spec.seed`` seeds the random-rotation blocks (see :func:`build_block`)
+    and, if the scheme requests stochastic weight rounding, a stream derived
+    from it, drawn block by block.  Transformed weights that overflow
+    float64 raise :class:`~.errors.Overflow`.
     """
     layer = _want("layer", layer, Layer)
-    d, _ = _check_split(layer.w.shape[0], scheme.group_size, damp)
-    _check_kind(kind, seed)
+    spec = _want("spec", spec, PlanSpec)
+    d, damp = _check_split(layer.w.shape[0], spec.scheme.group_size, spec.damp)
     n_blocks = layer.w.shape[0] // d
-    t_act, t_weight = _pair(kind, (n_blocks, d, d), seed, lambda: layer.core(d, damp))
+    t_act, t_weight = _pair(spec.kind, (n_blocks, d, d), spec.seed, lambda: layer.core(d, damp))
     with np.errstate(over="ignore", invalid="ignore"):
         w_t = t_weight @ layer.w.reshape(n_blocks, d, layer.w.shape[1])
     wq_rng = None
-    if scheme.rounding == ROUND_STOCHASTIC:
-        wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x77)))
+    if spec.scheme.rounding == ROUND_STOCHASTIC:
+        wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0x77)))
     try:
         for w_i in w_t:  # quantized back into the stack, block by block
-            w_i[...] = quantize_matrix(w_i, scheme, wq_rng)
+            w_i[...] = quantize_matrix(w_i, spec.scheme, wq_rng)
     except NaNInput:  # the layer is finite, so t_weight w left float64
         raise Overflow("transformed weights overflow float64") from None
-    return LayerPlan(kind, scheme, damp, seed, t_act, t_weight, w_t)
+    return LayerPlan(spec, t_act, t_weight, w_t)

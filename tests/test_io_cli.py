@@ -8,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from wushkit.errors import (
 )
 from wushkit.pipeline import SweepRow, SyntheticSpec
 from wushkit.quantformats import nvfp4_scheme
-from wushkit.transforms import Layer, build_layer_plan
+from wushkit.transforms import Layer, PlanSpec, build_layer_plan
 
 # ---------------------------------------------------------------------------
 # tensor container
@@ -241,7 +242,7 @@ def test_config_type_errors():
             parse_config(_doc(**{key: value}))
     with pytest.raises(InvalidSpec, match="transforms"):
         parse_config(_doc(transforms="wush"))
-    with pytest.raises(InvalidSpec, match="unknown kind"):
+    with pytest.raises(InvalidSpec, match="transforms: unknown transform kind"):
         parse_config(_doc(transforms=["wushh"]))
     with pytest.raises(InvalidSpec):
         parse_config(_doc(schemes=["fp42"]))
@@ -385,6 +386,31 @@ def test_synthetic_sizes_past_the_wten_cap_are_refused(tmp_path, capsys):
     assert not w.exists() and not x.exists()
 
 
+def test_synthetic_rotations_past_the_cap_are_refused_before_allocating(tmp_path, capsys):
+    # gen_synthetic draws two d_in x d_in rotations whatever d_out and
+    # d_batch are: at d_in = 65536 they would take 64 GiB
+    SyntheticSpec(d_in=46340, d_out=1, d_batch=1)  # 2 * 46340**2 is within the cap
+    for d_in in (46341, 1 << 16):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidSpec, match="^d_in: two d_in x d_in rotations"):
+                SyntheticSpec(d_in=d_in, d_out=1, d_batch=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+    synth = {"d_in": 1 << 16, "d_out": 1, "d_batch": 1}
+    with pytest.raises(InvalidSpec, match="^data.synthetic.d_in: two d_in x d_in rotations"):
+        parse_config(_doc(data={"synthetic": synth}))
+    w, x = tmp_path / "w.wten", tmp_path / "x.wten"
+    rc = cli.main(["gen", "--d-in", "65536", "--d-out", "1", "--d-batch", "1",
+                   "--weights", str(w), "--activations", str(x)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: d_in: two d_in x d_in") and captured.out == ""
+    assert not w.exists() and not x.exists()
+
+
 def test_load_config_error_messages(tmp_path):
     with pytest.raises(InvalidSpec, match="No such file"):
         load_config(tmp_path / "missing.json")
@@ -487,11 +513,36 @@ def test_cli_plan_persists_blocks(tmp_path, capsys):
     np.testing.assert_allclose(t_act[0] @ t_weight[0].T, np.eye(16), atol=1e-10)
     # every block, in order, bit-equal to the plan built in memory
     plan = build_layer_plan(
-        Layer(tensorio.read_tensor(w_path), tensorio.read_tensor(x_path)), "wus", nvfp4_scheme()
+        Layer(tensorio.read_tensor(w_path), tensorio.read_tensor(x_path)), PlanSpec("wus", nvfp4_scheme())
     )
     np.testing.assert_array_equal(t_act, plan.t_act)
     np.testing.assert_array_equal(t_weight, plan.t_weight)
     np.testing.assert_array_equal(w_hat, plan.w_hat)
+
+
+def test_cli_writes_every_spec_field(tmp_path, capsys):
+    # a non-default value in every cell setting the flags carry
+    w_path, x_path = _tensors(tmp_path)
+    capsys.readouterr()
+    cell = ["--weights", w_path, "--activations", x_path, "--kind", "wus", "--scheme", "int4",
+            "--damp", "0.3", "--seed", "5", "--group-size", "16", "--rounding", "stochastic"]
+    assert cli.main(["loss", *cell]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        "transform:      wus",
+        "scheme:         int4",
+        "group_size:     16",
+        "seed:           5",
+        "damp:           0.29999999999999999",
+    ]
+    assert [line.split(":")[0] for line in lines[5:]] == [
+        "layer_loss", "layer_loss_raw", "additivity_gap", *(f"block[{i}]" for i in range(4))
+    ]
+    assert cli.main(["plan", *cell, "--out-dir", str(tmp_path / "plan")]) == 0
+    assert (tmp_path / "plan" / "plan.json").read_text() == (
+        '{"d_in": 64, "d_out": 8, "damp": 0.3, "group_size": 16, "kind": "wus", '
+        '"n_blocks": 4, "rounding": "stochastic", "scheme": "int4", "seed": 5}\n'
+    )
 
 
 def _sweep_config(tmp_path, output="losses.csv"):

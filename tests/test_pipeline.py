@@ -21,7 +21,7 @@ from wushkit.quantformats import (
     quantize_matrix,
     scheme_by_name,
 )
-from wushkit.transforms import TRANSFORM_KINDS, Layer, build_layer_plan
+from wushkit.transforms import TRANSFORM_KINDS, Layer, PlanSpec, build_layer_plan
 
 # fine enough to be lossless on float64 data at these magnitudes
 INT26 = QuantScheme(IntSpec(26), E8M0, 32, name="int26")
@@ -156,7 +156,7 @@ def test_synthetic_spec_validation():
 
 def test_forward_quantized_lossless_scheme_recovers_product():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(Layer(w, x), "wush", INT26)
+    plan = build_layer_plan(Layer(w, x), PlanSpec("wush", INT26))
     out = pl.forward_quantized(plan, x)
     ref = w.T @ x
     assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -164,7 +164,7 @@ def test_forward_quantized_lossless_scheme_recovers_product():
 
 def test_forward_quantized_zero_activations():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(Layer(w, x), "wus", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), PlanSpec("wus", int4_scheme()))
     out = pl.forward_quantized(plan, np.zeros((64, 5)))
     np.testing.assert_array_equal(out, np.zeros((8, 5)))
     assert pl.forward_quantized(plan, np.zeros((64, 0))).shape == (8, 0)
@@ -172,15 +172,15 @@ def test_forward_quantized_zero_activations():
 
 def test_forward_quantized_single_block_composition():
     w, x = pl.gen_synthetic(_spec(d_in=32))
-    plan = build_layer_plan(Layer(w, x), "wush", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), PlanSpec("wush", int4_scheme()))
     assert plan.n_blocks == 1
-    manual = plan.w_hat[0].T @ quantize_matrix(plan.t_act[0] @ x, plan.scheme)
+    manual = plan.w_hat[0].T @ quantize_matrix(plan.t_act[0] @ x, plan.spec.scheme)
     np.testing.assert_array_equal(pl.forward_quantized(plan, x), manual)
 
 
 def test_forward_quantized_shape_check():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(Layer(w, x), "i", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), PlanSpec("i", int4_scheme()))
     with pytest.raises(ShapeMismatch):
         pl.forward_quantized(plan, x[:32, :])
 
@@ -199,8 +199,8 @@ def test_layer_loss_lossless_scheme_near_zero():
 def test_layer_loss_report_fields_consistent():
     w, x = pl.gen_synthetic(_spec(outlier_count=2, outlier_magnitude=10.0))
     rep = pl.layer_loss(w, x, "wush", int4_scheme(), damp=0.02, seed=5)
-    assert rep.kind == "wush" and rep.scheme_name == "int4"
-    assert rep.d == 32 and rep.damp == 0.02 and rep.seed == 5
+    assert rep.spec.kind == "wush" and rep.spec.scheme.name == "int4"
+    assert rep.spec.scheme.group_size == 32 and rep.spec.damp == 0.02 and rep.spec.seed == 5
     assert len(rep.block_losses) == 2
     expected_gap = abs(rep.layer_loss - sum(rep.block_losses)) / rep.layer_loss
     assert rep.additivity_gap == pytest.approx(expected_gap)
@@ -222,10 +222,10 @@ def test_layer_loss_monotone_in_int_bits():
 
 def test_evaluate_matches_layer_loss():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(Layer(w, x), "wus", int4_scheme(), damp=0.01, seed=2)
+    plan = build_layer_plan(Layer(w, x), PlanSpec("wus", int4_scheme(), damp=0.01, seed=2))
     a = pl.evaluate(plan, Layer(w, x))
     b = pl.layer_loss(w, x, "wus", int4_scheme(), seed=2)
-    assert a.kind == "wus"
+    assert a.spec.kind == "wus"
     assert a == b
 
 
@@ -251,7 +251,7 @@ def test_overflowing_transformed_operands_are_a_numerical_error_without_warnings
         pl.layer_loss(w, huge_x, kind, int4_scheme())
     with pytest.raises(Overflow, match="transformed weights overflow float64"):
         pl.layer_loss(huge_w, x, kind, int4_scheme())
-    plan = build_layer_plan(Layer(w, x), kind, int4_scheme())
+    plan = build_layer_plan(Layer(w, x), PlanSpec(kind, int4_scheme()))
     with pytest.raises(Overflow, match="transformed activations"):
         pl.forward_quantized(plan, huge_x)
     with pytest.raises(Overflow):  # weights the plan was not built on
@@ -260,7 +260,7 @@ def test_overflowing_transformed_operands_are_a_numerical_error_without_warnings
 
 def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
     w, x = pl.gen_synthetic(_spec())
-    plan = build_layer_plan(Layer(w, x), "wush", int4_scheme())
+    plan = build_layer_plan(Layer(w, x), PlanSpec("wush", int4_scheme()))
     w_wide, _ = pl.gen_synthetic(_spec(d_out=12))
     with pytest.raises(ShapeMismatch):
         pl.evaluate(plan, Layer(w_wide, x))
@@ -307,9 +307,9 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
     w, x = pl.gen_synthetic(
         _spec(d_in=d_in, d_out=d_out, d_batch=d_batch, outlier_count=2, outlier_magnitude=10.0)
     )
-    plan = build_layer_plan(Layer(w, x), kind, scheme, seed=4)
+    plan = build_layer_plan(Layer(w, x), PlanSpec(kind, scheme, seed=4))
     # direct evaluation: sum_i w_hat_i^T q_i - W^T X, same rounding stream
-    rng = pl._act_rng(plan)
+    rng = pl._act_rng(plan.spec)
     approx = np.zeros((d_out, d_batch))
     first = np.zeros((d_out, d_batch))
     block_raw = []
@@ -383,7 +383,7 @@ def test_gram_side_block_losses_are_the_batched_block_grams(n_blocks):
     w, x = pl.gen_synthetic(_spec(d_in=16 * n_blocks, d_out=512, d_batch=512,
                                   outlier_count=2, outlier_magnitude=10.0))
     layer = Layer(w, x)
-    plan = build_layer_plan(layer, "wush", nvfp4_scheme(), seed=4)
+    plan = build_layer_plan(layer, PlanSpec("wush", nvfp4_scheme(), seed=4))
     a, b = pl._weight_factor(plan, layer.w), pl._act_factor(plan, layer.x)
     k = a.shape[0] * a.shape[1]
     assert pl._gram_side(k, 512, 512)  # evaluate takes the Gram side
@@ -417,19 +417,19 @@ def test_first_order_gap_small():
 
 def test_sweep_cell_matches_layer_loss_for_deterministic_kinds():
     w, x = pl.gen_synthetic(_spec())
-    a = pl.sweep_cell(Layer(w, x), "wush", int4_scheme(), seed=1, r_repeats=5)
+    a = pl.sweep_cell(Layer(w, x), PlanSpec("wush", int4_scheme(), seed=1), r_repeats=5)
     b = pl.layer_loss(w, x, "wush", int4_scheme(), seed=1)
     assert a == b  # repeats only apply to the random-rotation kind
 
 
 def test_sweep_cell_averages_random_rotations():
     w, x = pl.gen_synthetic(_spec())
-    avg = pl.sweep_cell(Layer(w, x), "r", int4_scheme(), seed=4, r_repeats=3)
+    avg = pl.sweep_cell(Layer(w, x), PlanSpec("r", int4_scheme(), seed=4), r_repeats=3)
     singles = [
         pl.layer_loss(w, x, "r", int4_scheme(), seed=pl._repeat_seed(4, rep))
         for rep in range(3)
     ]
-    assert avg.seed == 4
+    assert avg.spec.seed == 4
     assert avg.layer_loss == pytest.approx(
         np.mean([r.layer_loss for r in singles]), rel=1e-15
     )
@@ -439,7 +439,17 @@ def test_sweep_cell_averages_random_rotations():
         )
     for r_repeats in (0, 1.5, True):
         with pytest.raises(InvalidSpec):
-            pl.sweep_cell(Layer(w, x), "r", int4_scheme(), r_repeats=r_repeats)
+            pl.sweep_cell(Layer(w, x), PlanSpec("r", int4_scheme()), r_repeats=r_repeats)
+
+
+def test_averaged_rotation_cell_reports_the_cells_spec():
+    w, x = pl.gen_synthetic(_spec())
+    spec = PlanSpec("r", int4_scheme(rounding=ROUND_STOCHASTIC), damp=0.3, seed=4)
+    avg = pl.sweep_cell(Layer(w, x), spec, r_repeats=3)
+    assert avg.spec == spec and avg.spec.seed == 4  # not a repeat's seed
+    assert pl._repeat_seed(4, 1) != 4
+    with pytest.raises(InvalidSpec, match="spec"):
+        pl.sweep_cell(Layer(w, x), ("r", int4_scheme()))
 
 
 class _StubConfig:

@@ -239,9 +239,40 @@ def test_stack_fails_on_one_bad_block():
 # layer plans
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        pytest.param({"kind": "wushh"}, "kind: unknown transform kind", id="kind-unknown"),
+        pytest.param({"kind": 3}, "kind: expected str", id="kind-int"),
+        pytest.param({"scheme": "int4"}, "scheme: expected QuantScheme", id="scheme-name"),
+        pytest.param({"damp": -1.0}, "damp: must be finite and >= 0", id="damp-negative"),
+        pytest.param({"damp": float("nan")}, "damp: must be finite", id="damp-nan"),
+        pytest.param({"damp": float("inf")}, "damp: must be finite", id="damp-inf"),
+        pytest.param({"damp": True}, "damp: expected a number", id="damp-bool"),
+        pytest.param({"seed": -1}, "seed: expected an integer >= 0", id="seed-negative"),
+        pytest.param({"seed": 1.5}, "seed: expected an integer", id="seed-float"),
+        pytest.param({"seed": True}, "seed: expected an integer", id="seed-bool"),
+    ],
+)
+def test_plan_spec_refuses_each_bad_field(fields, match):
+    with pytest.raises(InvalidSpec, match=match):
+        tf.PlanSpec(**{"kind": "wush", "scheme": nvfp4_scheme(), **fields})
+
+
+@pytest.mark.parametrize(
+    "damp, seed",
+    [(np.float32(0.5), np.int64(3)), (np.float64(0.5), np.uint8(3)), (1, 3)],
+    ids=["float32-int64", "float64-uint8", "python-int-damp"],
+)
+def test_plan_spec_stores_numpy_scalars_as_python_numbers(damp, seed):
+    spec = tf.PlanSpec("r", nvfp4_scheme(), damp, seed)
+    assert (type(spec.damp), type(spec.seed)) == (float, int)
+    assert spec == tf.PlanSpec("r", nvfp4_scheme(), 0.5 if damp != 1 else 1.0, 3)
+
+
 def test_plan_block_layout():
     w, x = _random_layer(48, 6, 100, seed=10)
-    plan = tf.build_layer_plan(tf.Layer(w, x), "wush", nvfp4_scheme(), seed=0)
+    plan = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wush", nvfp4_scheme(), seed=0))
     assert plan.n_blocks == 3
     assert plan.d == 16 and plan.d_in == 48 and plan.d_out == 6
     assert plan.t_act.shape == plan.t_weight.shape == (3, 16, 16)
@@ -256,7 +287,7 @@ def test_plan_block_layout():
 def test_plan_matches_single_block_construction():
     w, x = _random_layer(16, 4, 64, seed=11)
     scheme = nvfp4_scheme()
-    plan = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, damp=0.02)
+    plan = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wus", scheme, damp=0.02))
     pair = tf.second_moments(w, x, 16, damp=0.02)
     t_act, t_weight = _one_block("wus", pair.m_w[0], pair.m_x[0])
     np.testing.assert_array_equal(plan.t_act[0], t_act)
@@ -266,7 +297,7 @@ def test_plan_matches_single_block_construction():
 def test_plan_rotation_seeding():
     w, x = _random_layer(64, 4, 64, seed=12)
     scheme = mxfp4_scheme()
-    plan = tf.build_layer_plan(tf.Layer(w, x), "r", scheme, seed=7)
+    plan = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("r", scheme, seed=7))
     assert not np.array_equal(plan.t_act[0], plan.t_act[1])
     # block i's rotation is seeded from child i of the plan seed
     children = np.random.SeedSequence(7).spawn(2)
@@ -277,8 +308,8 @@ def test_plan_rotation_seeding():
 
 def test_plan_deterministic():
     w, x = _random_layer(32, 5, 50, seed=13)
-    a = tf.build_layer_plan(tf.Layer(w, x), "wush", mxfp4_scheme(), seed=3)
-    b = tf.build_layer_plan(tf.Layer(w, x), "wush", mxfp4_scheme(), seed=3)
+    a = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wush", mxfp4_scheme(), seed=3))
+    b = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wush", mxfp4_scheme(), seed=3))
     np.testing.assert_array_equal(a.t_act, b.t_act)
     np.testing.assert_array_equal(a.t_weight, b.t_weight)
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
@@ -289,9 +320,9 @@ def test_plan_stochastic_weights_seeded():
 
     w, x = _random_layer(32, 5, 50, seed=14)
     scheme = mxfp4_scheme(rounding=ROUND_STOCHASTIC)
-    a = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=3)
-    b = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=3)
-    c = tf.build_layer_plan(tf.Layer(w, x), "wus", scheme, seed=4)
+    a = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wus", scheme, seed=3))
+    b = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wus", scheme, seed=3))
+    c = tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wus", scheme, seed=4))
     np.testing.assert_array_equal(a.w_hat, b.w_hat)
     assert not np.array_equal(a.w_hat, c.w_hat)
 
@@ -299,7 +330,7 @@ def test_plan_stochastic_weights_seeded():
 def test_plan_indivisible_d_in():
     w, x = _random_layer(24, 4, 30, seed=15)
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        tf.build_layer_plan(tf.Layer(w, x), "wush", nvfp4_scheme())
+        tf.build_layer_plan(tf.Layer(w, x), tf.PlanSpec("wush", nvfp4_scheme()))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +352,8 @@ def test_layer_checks_once_and_caches_read_only_moments_and_cores():
         with pytest.raises(ValueError):
             a[0, 0, 0] = 1.0
     # wus hands out the cached core itself; wush is its Hadamard rotation
-    wus = tf.build_layer_plan(layer, "wus", nvfp4_scheme(), damp=0.02)
-    wush = tf.build_layer_plan(layer, "wush", nvfp4_scheme(), damp=0.02)
+    wus = tf.build_layer_plan(layer, tf.PlanSpec("wus", nvfp4_scheme(), damp=0.02))
+    wush = tf.build_layer_plan(layer, tf.PlanSpec("wush", nvfp4_scheme(), damp=0.02))
     assert wus.t_act is core
     np.testing.assert_array_equal(wush.t_act, hadamard(16) @ core)
 
@@ -344,7 +375,7 @@ def test_layer_validation():
         layer.moments(True)
     w, x = _random_layer(32, 5, 50, seed=17)
     with pytest.raises(InvalidSpec, match="layer"):
-        tf.build_layer_plan(w, x, "h", nvfp4_scheme())
+        tf.build_layer_plan(w, tf.PlanSpec("h", nvfp4_scheme()))
 
 
 @pytest.mark.parametrize("side", ["weight", "activation"])
@@ -358,7 +389,7 @@ def test_layer_moments_that_overflow_are_a_numerical_error(side):
     with pytest.raises(Overflow):
         tf.second_moments(*big, 16)
     with pytest.raises(Overflow):
-        tf.build_layer_plan(layer, "wush", nvfp4_scheme())
+        tf.build_layer_plan(layer, tf.PlanSpec("wush", nvfp4_scheme()))
 
 
 @pytest.mark.parametrize("kind", ["i", "h", "r"])
@@ -368,10 +399,10 @@ def test_orthogonal_plans_read_no_moments_but_check_damp_and_split(kind, monkeyp
 
     monkeypatch.setattr(tf, "second_moments", refuse)
     layer = tf.Layer(*_random_layer(48, 5, 50, seed=18))
-    assert tf.build_layer_plan(layer, kind, nvfp4_scheme()).n_blocks == 3
+    assert tf.build_layer_plan(layer, tf.PlanSpec(kind, nvfp4_scheme())).n_blocks == 3
     with pytest.raises(InvalidSpec, match="damp"):
-        tf.build_layer_plan(layer, kind, nvfp4_scheme(), damp=-1.0)
+        tf.build_layer_plan(layer, tf.PlanSpec(kind, nvfp4_scheme(), damp=-1.0))
     with pytest.raises(InvalidSpec, match="seed"):
-        tf.build_layer_plan(layer, kind, nvfp4_scheme(), seed=-1)
+        tf.build_layer_plan(layer, tf.PlanSpec(kind, nvfp4_scheme(), seed=-1))
     with pytest.raises(ShapeMismatch, match="not divisible"):
-        tf.build_layer_plan(layer, kind, mxfp4_scheme())
+        tf.build_layer_plan(layer, tf.PlanSpec(kind, mxfp4_scheme()))
