@@ -91,6 +91,8 @@ def _want(name: str, value, kind, error=InvalidSpec, low=None):
     included) and both at least ``low`` if it is given; ``tuple[item, ...]``
     is a list, tuple or 1-D array of items; ``bool`` (numpy's stored as
     ``bool``), a ``Union`` of classes and other kinds are ``isinstance``."""
+    if type(value) is kind and kind is not int and kind is not float:
+        return value  # the common case, kept cheap for per-block entry checks
     if get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple, np.ndarray)):
             raise error(f"{name}: expected list, got {type(value).__name__}")

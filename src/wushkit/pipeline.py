@@ -10,7 +10,8 @@ reported alongside the raw squared Frobenius norm (both appear in reports
 because either normalization is common in practice).  Blockwise losses use
 the same normalization, and because quantization errors of different blocks
 are nearly uncorrelated their sum tracks the layer loss; the relative gap
-between the two is reported, not asserted.
+between the two (``LossReport.additivity_gap``, derived from the other
+fields) is reported, not asserted.
 
 Losses are evaluated in factored form from one pass over the blocks.  With
 ``w~_i = t_weight_i w_i``, ``x~_i = t_act_i x_i`` and ``q_i = q(x~_i)``, block
@@ -24,6 +25,9 @@ the shapes first.  The Gram side holds one factor at a time: ``B`` is made,
 its Gram taken and ``B`` dropped before ``A`` is made.  Block losses are
 ``<a_i a_i^T, b_i b_i^T>_F``: on the Gram side the ``2d x 2d`` Grams are the
 diagonal blocks of the two ``k x k`` ones, otherwise they are made per block.
+One routine, ``_sq_errors``, does all of this: ``evaluate`` normalizes its
+result, and ``first_order_gap`` also calls it with the ``q_i`` rows of
+``b_i`` replaced by ``x~_i``, which drops the cross term ``E_W^T E_X``.
 
 The plan-building and scoring functions take a :class:`~.transforms.Layer`
 and a :class:`~.transforms.PlanSpec`: ``build_layer_plan(layer, spec)``,
@@ -42,11 +46,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidCovariance, InvalidSpec, NaNInput, Overflow, ShapeMismatch
+from .errors import InvalidCovariance, InvalidSpec, Overflow, ShapeMismatch
 from .linalg import _as_finite, _check_seed, _want, _want_fields, random_rotation
-from .quantformats import ROUND_STOCHASTIC, QuantScheme, quantize_matrix
+from .quantformats import QuantScheme
 from .tensorio import MAX_ELEMENTS
-from .transforms import DEFAULT_DAMP, Layer, LayerPlan, PlanSpec, build_layer_plan
+from .transforms import (ACT_STREAM, DEFAULT_DAMP, Layer, LayerPlan, PlanSpec, _quantize_into,
+                         build_layer_plan)
 
 SYNTH_TAILS = ("gaussian", "laplacian", "student_t")
 
@@ -115,6 +120,7 @@ def gen_synthetic(spec: SyntheticSpec):
     every activation column by ``outlier_magnitude``.  Pure function of the
     spec (including its seed).
     """
+    spec = _want("spec", spec, SyntheticSpec)
     lam = spec.eigenvalues()
     root = np.sqrt(lam)
     ss = np.random.SeedSequence(spec.seed)
@@ -142,16 +148,15 @@ class LossReport:
     layer_loss: float  # per-element normalized
     layer_loss_raw: float  # plain squared Frobenius norm
     block_losses: tuple
-    additivity_gap: float  # |layer - sum(blocks)| / layer, 0 if layer == 0
 
-
-def _act_rng(spec: PlanSpec) -> Optional[np.random.Generator]:
-    if spec.scheme.rounding != ROUND_STOCHASTIC:
-        return None
-    return np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0xAC)))
+    @property
+    def additivity_gap(self) -> float:
+        """``|layer - sum(blocks)| / layer``, 0 if the layer loss is 0."""
+        return _rel_gap(self.layer_loss, sum(self.block_losses))
 
 
 def _check_fit(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None) -> None:
+    _want("plan", plan, LayerPlan)
     if x.shape[0] != plan.d_in or (w is not None and w.shape != (plan.d_in, plan.d_out)):
         got = x.shape if w is None else (w.shape, x.shape)
         raise ShapeMismatch(
@@ -161,19 +166,13 @@ def _check_fit(plan: LayerPlan, x: np.ndarray, w: Optional[np.ndarray] = None) -
 
 def _act_factor(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
     """The stacked factor ``b`` (``n_blocks x 2d x d_batch``) of the module
-    docstring for checked float64 activations that fit the plan, quantizing
-    block by block from the plan's one activation stream.  Transformed
-    activations that overflow raise :class:`~.errors.Overflow`."""
+    docstring for checked float64 activations that fit the plan, quantized
+    from the plan's activation stream by :func:`~.transforms._quantize_into`."""
     n, d = plan.n_blocks, plan.d
-    rng = _act_rng(plan.spec)
     b = np.empty((n, 2 * d, x.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
-    try:
-        for i in range(n):
-            b[i, :d] = quantize_matrix(b[i, d:], plan.spec.scheme, rng)
-    except NaNInput:  # x is finite, so t_act x left float64
-        raise Overflow("transformed activations overflow float64") from None
+    _quantize_into(b[:, d:], b[:, :d], plan.spec, ACT_STREAM, "activations")
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
     return b
 
@@ -237,21 +236,23 @@ def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
     return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
-def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
-    """Quantization loss of a built plan on a :class:`~.transforms.Layer`,
-    which must have the plan's ``d_in`` and ``d_out``; it may differ from
-    the layer the plan was built on (say, a held-out split)."""
-    layer = _want("layer", layer, Layer)
+def _sq_errors(plan: LayerPlan, layer: Layer, first_order: bool = False):
+    """The squared layer and block errors ``(raw, block_raw)`` of ``plan`` on
+    ``layer`` in factored form (module docstring); ``first_order`` turns the
+    ``q`` rows of ``b`` into ``q - (q - x~) = x~``, dropping ``E_W^T E_X``."""
     x, w = layer.x, layer.w
     _check_fit(plan, x, w)
+    b = _act_factor(plan, x)
+    if first_order:
+        b[:, : plan.d] -= b[:, plan.d :]
     if _gram_side(2 * plan.d_in, plan.d_out, x.shape[1]):
-        gram_b = _gram(_act_factor(plan, x))  # one factor alive at a time
+        gram_b = _gram(b)
+        del b  # one factor alive at a time
         gram_a = _gram(_weight_factor(plan, w))
         raw = _inner(gram_a, gram_b)
         i, shape = np.arange(plan.n_blocks), (plan.n_blocks, 2 * plan.d) * 2
         gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
     else:
-        b = _act_factor(plan, x)
         a = _weight_factor(plan, w)
         raw = _product_sq(a, b)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,13 +260,17 @@ def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
     with np.errstate(over="ignore", invalid="ignore"):
         block_raw = (gram_a * gram_b).sum(axis=(1, 2))
     _finite(raw, block_raw)
-    norm = plan.d_out * x.shape[1]
-    loss = raw / norm
-    blocks = tuple(float(v) / norm for v in block_raw)
-    return LossReport(
-        plan.spec, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
-        additivity_gap=_rel_gap(loss, sum(blocks)),
-    )
+    return raw, block_raw
+
+
+def evaluate(plan: LayerPlan, layer: Layer) -> LossReport:
+    """Quantization loss of a built plan on a :class:`~.transforms.Layer`,
+    which must have the plan's ``d_in`` and ``d_out``; it may differ from
+    the layer the plan was built on (say, a held-out split)."""
+    layer = _want("layer", layer, Layer)
+    raw, block_raw = _sq_errors(plan, layer)
+    norm = plan.d_out * layer.x.shape[1]
+    return LossReport(plan.spec, raw / norm, raw, tuple(float(v) / norm for v in block_raw))
 
 
 def layer_loss(
@@ -290,22 +295,8 @@ def first_order_gap(
     """
     layer = Layer(w, x)
     plan = build_layer_plan(layer, PlanSpec(kind, scheme, damp, seed))
-    b = _act_factor(plan, layer.x)
-    if _gram_side(2 * plan.d_in, plan.d_out, b.shape[-1]):
-        grams_b = [_gram(b)]  # then b is dropped before a is made
-        b[:, : plan.d] -= b[:, plan.d :]  # q - (q - x~) = x~ drops E_W^T E_X
-        grams_b.append(_gram(b))
-        del b
-        gram_a = _gram(_weight_factor(plan, layer.w))
-        raw, raw_fo = (_inner(gram_a, g) for g in grams_b)
-    else:
-        a = _weight_factor(plan, layer.w)
-        raw = _product_sq(a, b)
-        b[:, : plan.d] -= b[:, plan.d :]
-        raw_fo = _product_sq(a, b)
-    _finite(raw, raw_fo)
     norm = plan.d_out * layer.x.shape[1]
-    loss, fo = raw / norm, raw_fo / norm
+    loss, fo = (_sq_errors(plan, layer, first_order)[0] / norm for first_order in (False, True))
     return loss, fo, _rel_gap(loss, fo)
 
 
@@ -345,17 +336,10 @@ def sweep_cell(layer: Layer, spec: PlanSpec, r_repeats: int = 1) -> LossReport:
     ]
     if reps == 1:
         return reports[0]
-    base = reports[0]
-    blocks = tuple(
-        float(np.mean([r.block_losses[i] for r in reports]))
-        for i in range(len(base.block_losses))
-    )
     loss = float(np.mean([r.layer_loss for r in reports]))
     raw = float(np.mean([r.layer_loss_raw for r in reports]))
-    return replace(
-        base, spec=spec, layer_loss=loss, layer_loss_raw=raw, block_losses=blocks,
-        additivity_gap=_rel_gap(loss, sum(blocks)),
-    )
+    blocks = tuple(float(np.mean(col)) for col in zip(*(r.block_losses for r in reports)))
+    return LossReport(spec, loss, raw, blocks)
 
 
 def sweep(cfg, timings: bool = False) -> list:

@@ -66,7 +66,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidSpec, NaNInput, ShapeMismatch
-from .linalg import _as_float64, _show, _want_fields
+from .linalg import _as_float64, _show, _want, _want_fields
 
 VALID_GROUP_SIZES = (16, 32, 64, 128)
 
@@ -247,6 +247,7 @@ def rtn_value(x, fmt: FpFormat):
     Accepts a scalar or an ndarray; magnitudes beyond the grid clamp to the
     largest representable value.  NaN input raises :class:`NaNInput`.
     """
+    _want("fmt", fmt, FpFormat)
     arr = _as_float64(x, "rtn_value input")
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
@@ -418,8 +419,8 @@ def _quantize_blocks(blocks: np.ndarray, scheme: QuantScheme, rng, name: str):
     if not np.isfinite(amax).all():
         raise NaNInput(f"{name} contains non-finite values")
     stochastic = scheme.rounding == ROUND_STOCHASTIC
-    if stochastic and rng is None:
-        raise InvalidSpec("stochastic rounding requires an rng")
+    if stochastic:
+        _want("rng", rng, np.random.Generator)
     n, d, cols = blocks.shape
     clip = 1.0 if scheme.clipping is None else scheme.clipping
     raw = clip * amax / scheme.grid_max
@@ -439,6 +440,7 @@ def quantize_group(
     rounding or clipping pushed past the ends).  In stochastic mode an
     explicit ``rng`` supplies the uniforms; the scale stays deterministic.
     """
+    _want("scheme", scheme, QuantScheme)
     arr = _as_float64(v, "group values", 1)
     if arr.size != scheme.group_size:
         raise ShapeMismatch(
@@ -463,6 +465,7 @@ def quantize_matrix(
     outermost) with the same ``rng``, and independent of evaluation order.
     ``m`` is only read (see Memory in the module docstring).
     """
+    _want("scheme", scheme, QuantScheme)
     arr = _as_float64(m, "matrix", 2)
     d = scheme.group_size
     rows, cols = arr.shape

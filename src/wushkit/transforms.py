@@ -21,8 +21,10 @@ the moment blocks, ``build_block`` turns a whole stack into the
 ``(t_act, t_weight)`` stacks in one call (a single block is a stack of one),
 and ``build_layer_plan(layer, spec)`` adds the pre-quantized weights for one
 :class:`PlanSpec` (kind, scheme, damp, seed), which checks itself once when
-built.  Only the eigendecompositions and the weight quantization run block
-by block.
+built.  Only the eigendecompositions and the quantization run block by
+block: ``_quantize_into`` quantizes both sides (the weights here, the
+activations in :mod:`~.pipeline`), each from its own ``_stream``, and raises
+:class:`~.errors.Overflow` for a block that left float64.
 
 A :class:`Layer` holds ``(w, x)``, checked once, and caches the data-only
 work per ``(d, damp)``: the moment blocks and the whitened core
@@ -106,6 +108,17 @@ class LayerPlan:
     t_act: np.ndarray  # (n_blocks, d, d)
     t_weight: np.ndarray  # (n_blocks, d, d)
     w_hat: np.ndarray  # (n_blocks, d, d_out) pre-quantized (dequantized) t_weight w
+
+    def __post_init__(self):
+        """Checks that the stacks are ``(n, d, d)``, ``(n, d, d)`` and
+        ``(n, d, d_out)`` with ``n >= 1`` and ``d`` the spec's group size."""
+        _want("spec", self.spec, PlanSpec)
+        a, t, w = (_want(k, getattr(self, k), np.ndarray).shape
+                   for k in ("t_act", "t_weight", "w_hat"))
+        d = self.spec.scheme.group_size
+        if not (len(a) == len(w) == 3 and a[0] >= 1 and a == t == (a[0], d, d) == w[:2] + (d,)):
+            raise ShapeMismatch(f"plan stacks must be (n, d, d), (n, d, d) and (n, d, d_out) "
+                                f"with n >= 1 and d = {d}, got {a}, {t} and {w}")
 
     @property
     def n_blocks(self) -> int:
@@ -266,6 +279,30 @@ def build_block(kind: str, m_w, m_x, seed: int = 0):
     return _pair(kind, mw.shape, seed, lambda: _whitened_core(mw, mx)[0])
 
 
+#: Tags of the two sides' stochastic rounding streams (see :func:`_stream`).
+WEIGHT_STREAM, ACT_STREAM = 0x77, 0xAC
+
+
+def _stream(spec: PlanSpec, tag: int):
+    """The rounding stream of one side of a cell, seeded by the entropy
+    ``(spec.seed, tag)``, or None when the scheme rounds to nearest."""
+    if spec.scheme.rounding != ROUND_STOCHASTIC:
+        return None
+    return np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, tag)))
+
+
+def _quantize_into(src: np.ndarray, dst: np.ndarray, spec: PlanSpec, tag: int, what: str) -> None:
+    """Quantize a transformed ``(n_blocks, d, cols)`` stack into ``dst`` (may
+    be ``src``) block by block from the side's stream; finite data that the
+    transform took past float64 raise :class:`~.errors.Overflow`."""
+    rng = _stream(spec, tag)
+    try:
+        for i in range(src.shape[0]):
+            dst[i] = quantize_matrix(src[i], spec.scheme, rng)
+    except NaNInput:
+        raise Overflow(f"transformed {what} overflow float64") from None
+
+
 def build_layer_plan(layer: Layer, spec: PlanSpec) -> LayerPlan:
     """Per-block transforms and pre-quantized weights for a :class:`Layer`.
 
@@ -284,12 +321,5 @@ def build_layer_plan(layer: Layer, spec: PlanSpec) -> LayerPlan:
     t_act, t_weight = _pair(spec.kind, (n_blocks, d, d), spec.seed, lambda: layer.core(d, damp))
     with np.errstate(over="ignore", invalid="ignore"):
         w_t = t_weight @ layer.w.reshape(n_blocks, d, layer.w.shape[1])
-    wq_rng = None
-    if spec.scheme.rounding == ROUND_STOCHASTIC:
-        wq_rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, 0x77)))
-    try:
-        for w_i in w_t:  # quantized back into the stack, block by block
-            w_i[...] = quantize_matrix(w_i, spec.scheme, wq_rng)
-    except NaNInput:  # the layer is finite, so t_weight w left float64
-        raise Overflow("transformed weights overflow float64") from None
+    _quantize_into(w_t, w_t, spec, WEIGHT_STREAM, "weights")  # back into the stack
     return LayerPlan(spec, t_act, t_weight, w_t)

@@ -183,6 +183,8 @@ def test_forward_quantized_shape_check():
     plan = build_layer_plan(Layer(w, x), PlanSpec("i", int4_scheme()))
     with pytest.raises(ShapeMismatch):
         pl.forward_quantized(plan, x[:32, :])
+    with pytest.raises(InvalidSpec, match="plan"):
+        pl.forward_quantized("x", x)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,26 @@ def test_evaluate_rejects_inputs_that_do_not_fit_the_plan():
         pl.evaluate(plan, Layer(w, x[:, :0]))
     with pytest.raises(InvalidSpec, match="layer"):
         pl.evaluate(plan, w)
+    with pytest.raises(InvalidSpec, match="plan"):
+        pl.evaluate("x", Layer(w, x))
+    # a plan checks its own stacks, so a bad one cannot be broadcast into numbers
+    spec, t_act, t_weight, w_hat = plan.spec, plan.t_act, plan.t_weight, plan.w_hat
+    for bad in (
+        (spec, t_act, t_weight, w_hat[:1]),  # one weight block for two
+        (spec, t_act, t_weight[:1], w_hat),
+        (spec, t_act[:, :16], t_weight, w_hat),
+        (spec, t_act[0], t_weight[0], w_hat[0]),
+        (spec, t_act[:0], t_weight[:0], w_hat[:0]),
+        (spec, t_act, t_weight, w_hat[:, :, 0]),
+        (PlanSpec("wush", nvfp4_scheme()), t_act, t_weight, w_hat),  # group size 16
+    ):
+        with pytest.raises(ShapeMismatch):
+            tf.LayerPlan(*bad)
+    for field, bad in (("spec", (("wush", int4_scheme()), t_act, t_weight, w_hat)),
+                       ("t_act", (spec, t_act.tolist(), t_weight, w_hat)),
+                       ("w_hat", (spec, t_act, t_weight, None))):
+        with pytest.raises(InvalidSpec, match=field):
+            tf.LayerPlan(*bad)
     # a negative seed is refused for every kind, stochastic rounding or not
     for kind, scheme in (("h", int4_scheme()), ("r", int4_scheme()),
                          ("wush", int4_scheme(rounding=ROUND_STOCHASTIC))):
@@ -309,7 +331,7 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
     )
     plan = build_layer_plan(Layer(w, x), PlanSpec(kind, scheme, seed=4))
     # direct evaluation: sum_i w_hat_i^T q_i - W^T X, same rounding stream
-    rng = pl._act_rng(plan.spec)
+    rng = tf._stream(plan.spec, tf.ACT_STREAM)
     approx = np.zeros((d_out, d_batch))
     first = np.zeros((d_out, d_batch))
     block_raw = []
@@ -330,7 +352,7 @@ def test_losses_match_dense_reference(kind, scheme_name, dims):
     assert rep.layer_loss == pytest.approx(raw / norm, rel=1e-10)
     np.testing.assert_allclose(rep.block_losses, np.array(block_raw) / norm, rtol=1e-10)
     loss, fo, _ = pl.first_order_gap(w, x, kind, scheme, seed=4)
-    assert loss == pytest.approx(raw / norm, rel=1e-10)
+    assert loss == rep.layer_loss  # both quantize the same activations
     assert fo == pytest.approx(np.sum(first ** 2) / norm, rel=1e-10)
     np.testing.assert_allclose(
         pl.forward_quantized(plan, x), approx, rtol=1e-10, atol=1e-10 * np.abs(approx).max()

@@ -10,6 +10,7 @@ import pytest
 import wushkit.quantformats as qf
 from _oracles import gaussian_mse_clip, rtn_even_table, stoch_table
 from wushkit import InvalidSpec, NaNInput, ShapeMismatch
+from wushkit.pipeline import gen_synthetic
 
 E2M1_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
 
@@ -504,6 +505,22 @@ def test_stochastic_needs_rng():
     scheme = qf.mxfp4_scheme(rounding=qf.ROUND_STOCHASTIC)
     with pytest.raises(InvalidSpec):
         qf.quantize_group(np.zeros(32), scheme)
+
+
+_STOCH = qf.int4_scheme(rounding=qf.ROUND_STOCHASTIC)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("scheme", lambda: qf.quantize_matrix(np.zeros((32, 2)), "int4")),
+    ("scheme", lambda: qf.quantize_group(np.zeros(32), "int4")),
+    ("rng", lambda: qf.quantize_matrix(np.zeros((32, 2)), _STOCH, 5)),
+    ("rng", lambda: qf.quantize_group(np.zeros(32), _STOCH, 5)),
+    ("fmt", lambda: qf.rtn_value(1.0, "e2m1")),
+    ("spec", lambda: gen_synthetic({"d_in": 4})),
+], ids=["matrix-scheme", "group-scheme", "matrix-rng", "group-rng", "rtn-fmt", "synthetic-spec"])
+def test_entries_refuse_arguments_of_the_wrong_type(name, call):
+    with pytest.raises(InvalidSpec, match=name):
+        call()
 
 
 def test_stochastic_matrix_reproducible_and_bracketing():
