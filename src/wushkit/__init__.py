@@ -42,6 +42,7 @@ from .noise import (
     random_spd_moment,
 )
 from .quantformats import (
+    BF16,
     E2M1,
     E4M3,
     E8M0,
@@ -55,7 +56,6 @@ from .quantformats import (
     nvfp4_scheme,
     quantize_group,
     quantize_matrix,
-    round_bf16,
     rtn_value,
     scheme_by_name,
 )

@@ -293,15 +293,12 @@ def _cmd_grids(args) -> int:
             f"[-{vf.grid_max}, {vf.grid_max}]"
         )
     sf = scheme.scale_format
-    if isinstance(sf, FpFormat):
-        grid = enumerate_grid(sf)
-        print(
-            f"scale [{sf.name}]: {len(grid)} magnitudes in "
-            f"[{format_float(grid[1] if grid[0] == 0 else grid[0])}, "
-            f"{format_float(grid[-1])}]"
-        )
-    else:
-        print("scale [bf16]: bfloat16 (8-bit exponent, 7-bit mantissa)")
+    grid = enumerate_grid(sf)
+    print(
+        f"scale [{sf.name}]: {len(grid)} magnitudes in "
+        f"[{format_float(grid[1] if grid[0] == 0 else grid[0])}, "
+        f"{format_float(grid[-1])}]"
+    )
     print(f"group_size: {scheme.group_size}")
     if scheme.clipping is not None:
         print(f"clipping: {format_float(scheme.clipping)}")

@@ -17,8 +17,8 @@ dataclass through ``_want_fields`` (its annotations are its schema), and a
 seed through ``_check_seed``, which adds only the sign rule; a refusal
 prints the value through ``_show``, which can print any integer.
 ``_as_float64`` is the one conversion of an input array (float64, dimension
-count, an integer past the float range refused as non-finite), and
-``_as_finite`` adds the finite-entries check.
+count, complex and text refused, an integer past the float range refused as
+non-finite), and ``_as_finite`` adds the finite-entries check.
 """
 
 from __future__ import annotations
@@ -58,12 +58,21 @@ class SymEigen(NamedTuple):
 
 def _as_float64(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
     """``m`` as float64 (not copied if it is already) with ``ndim``
-    dimensions (any, if None); an integer past the float range is refused as
-    non-finite."""
+    dimensions (any, if None).  As in ``tensorio.write_tensor`` the entries
+    are bool, integer or real: complex and text input, and input numpy
+    cannot convert, is refused rather than cast; an integer past the float
+    range is refused as non-finite."""
     try:
-        a = np.asarray(m, dtype=np.float64)
+        a = np.asarray(m)
+        real = a.dtype.kind in "biufO"  # O: Python integers past int64, say
+        if real:
+            a = a.astype(np.float64, copy=False)
     except OverflowError:  # a Python integer past the float range
         raise NaNInput(f"{name} contains an integer past the float range") from None
+    except (TypeError, ValueError) as exc:  # ragged nesting, an object that is no number
+        raise InvalidSpec(f"{name} is not an array of bool, integer or real: {exc}") from None
+    if not real:  # complex or text: a cast would drop data or fail
+        raise InvalidSpec(f"{name} is not an array of bool, integer or real: dtype {a.dtype}")
     if ndim is not None and a.ndim != ndim:
         raise ShapeMismatch(f"{name} must be {ndim}-D, got shape {a.shape}")
     return a

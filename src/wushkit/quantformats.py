@@ -8,14 +8,15 @@ with exponent bias ``2**(a-1) - 1``.  Code (e, m) maps to
 * ``2**(1 - bias) * (m / 2**b)``        when subnormal (e == 0, subnormals on)
 * ``2**(e - bias) * (1 + m / 2**b)``    otherwise
 
-The one NaN a format may have is its all-ones code (``top_nan``), as in the
-OCP microscaling formats, so every other code is a value.  ``FORMATS`` holds
-the three handled here by name: E2M1 (bias 1, grid 0, 0.5, 1, 1.5, 2, 3, 4,
-6), E4M3 in the finite-only convention (code e=15/m=7 is NaN, so the max is
-448), and E8M0 (no sign in use, no zero; the top code is NaN leaving
-``2**k`` for k in [-127, 127]).  ``IntSpec`` is the symmetric integer grid
-``{-(2**(b-1)-1), ..., 2**(b-1)-1}``; the most negative two's-complement
-code is never produced.
+A format's top ``reserved`` codes are not values (NaN or inf); every other
+code is.  ``FORMATS`` holds the four handled here by name: E2M1 (bias 1,
+grid 0, 0.5, 1, 1.5, 2, 3, 4, 6; none reserved), E4M3 in the OCP
+finite-only convention (code e=15/m=7 is NaN, so the max is 448), E8M0 (no
+sign in use, no zero; the top code is NaN leaving ``2**k`` for k in
+[-127, 127]) and BF16 (float32's exponent range with 7 mantissa bits;
+IEEE's inf/NaN binade, the top ``2**7`` codes, is reserved).  ``IntSpec``
+is the symmetric integer grid ``{-(2**(b-1)-1), ..., 2**(b-1)-1}``; the
+most negative two's-complement code is never produced.
 
 Rounding
 --------
@@ -59,6 +60,7 @@ rounding its uniforms and the floor.  ``rtn_value``, ``_rtn_even`` and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -91,7 +93,7 @@ class FpFormat:
     exp_bits: int
     mant_bits: int
     includes_subnormals: bool = True
-    top_nan: bool = False  # the all-ones code is NaN, not a value
+    reserved: int = 0  # top codes that are not values (NaN or inf)
     name: str = ""
 
     def __post_init__(self):
@@ -102,6 +104,9 @@ class FpFormat:
             raise InvalidSpec("mant_bits must be >= 0")
         if self.exp_bits + self.mant_bits > 16:
             raise InvalidSpec("exp_bits + mant_bits must be <= 16")
+        most = 2 ** (self.exp_bits + self.mant_bits) - 2  # two codes stay values
+        if not 0 <= self.reserved <= most:
+            raise InvalidSpec(f"reserved must be in [0, {most}], got {_show(self.reserved)}")
 
     @property
     def bias(self) -> int:
@@ -130,41 +135,55 @@ class IntSpec:
         return f"int{self.bits}"
 
 
-@dataclass(frozen=True)
-class Bf16Spec:
-    """Marker for bfloat16 scale storage (float32 with an 8-bit mantissa)."""
-
-    def __str__(self) -> str:
-        return "bf16"
-
-
 E2M1 = FpFormat(2, 1, includes_subnormals=True, name="e2m1")
-E4M3 = FpFormat(4, 3, includes_subnormals=True, top_nan=True, name="e4m3")
-E8M0 = FpFormat(8, 0, includes_subnormals=False, top_nan=True, name="e8m0")
-FORMATS = {fmt.name: fmt for fmt in (E2M1, E4M3, E8M0)}
+E4M3 = FpFormat(4, 3, includes_subnormals=True, reserved=1, name="e4m3")
+E8M0 = FpFormat(8, 0, includes_subnormals=False, reserved=1, name="e8m0")
+BF16 = FpFormat(8, 7, includes_subnormals=True, reserved=2 ** 7, name="bf16")
+FORMATS = {fmt.name: fmt for fmt in (E2M1, E4M3, E8M0, BF16)}
 
-_BF16_MIN_POSITIVE = 2.0 ** -126  # smallest positive normal bf16
-_BF16_MAX = (2.0 - 2.0 ** -7) * 2.0 ** 127  # largest finite bf16
+
+def enumerate_grid(fmt: FpFormat) -> np.ndarray:
+    """All representable magnitudes of ``fmt``, strictly increasing and
+    read-only.
+
+    The array index equals the ``(exp << mant_bits) | mant`` code: the
+    ``reserved`` top codes are left off the end.
+    """
+    return _grid(_want("fmt", fmt, FpFormat))
 
 
 @lru_cache(maxsize=32)
-def enumerate_grid(fmt: FpFormat) -> np.ndarray:
-    """All representable magnitudes of ``fmt``, strictly increasing.
-
-    The array index equals the ``(exp << mant_bits) | mant`` code: with
-    ``top_nan`` the last code, the NaN, is left off the end.
-    """
-    b = fmt.mant_bits
-    e, m = np.divmod(np.arange(2 ** (fmt.exp_bits + b) - fmt.top_nan), 2 ** b)
-    sub = fmt.includes_subnormals & (e == 0)  # m * 2**(1 - bias - b)
-    with np.errstate(over="ignore"):  # past float64: refused below
-        grid = np.ldexp(np.where(sub, m, m + 2 ** b), e + sub - fmt.bias - b)
-    if not np.isfinite(grid).all():
-        raise InvalidSpec(f"format {fmt} exceeds float64 range")
-    if grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise InvalidSpec(f"format {fmt} does not yield an increasing grid")
+def _grid(fmt: FpFormat) -> np.ndarray:
+    _ends(fmt)  # the format's checks
+    grid = _magnitudes(fmt, np.arange(2 ** (fmt.exp_bits + fmt.mant_bits) - fmt.reserved))
     grid.setflags(write=False)
     return grid
+
+
+def _magnitudes(fmt: FpFormat, codes: np.ndarray) -> np.ndarray:
+    """The magnitudes of ``fmt``'s ``(exp << mant_bits) | mant`` codes."""
+    b = fmt.mant_bits
+    e, m = np.divmod(codes, 2 ** b)
+    sub = fmt.includes_subnormals & (e == 0)  # m * 2**(1 - bias - b)
+    with np.errstate(over="ignore"):  # past float64: refused in _ends
+        return np.ldexp(np.where(sub, m, m + 2 ** b), e + sub - fmt.bias - b)
+
+
+@lru_cache(maxsize=32)
+def _ends(fmt: FpFormat) -> tuple[float, float, float]:
+    """The least, the least positive and the largest magnitude of ``fmt``,
+    without building its grid.  Each magnitude is an integer below
+    ``2**(mant_bits + 1)`` times a power of two no less than the least step
+    ``2**k_min``, so all are exact in float64, hence distinct, if the largest
+    is finite and ``k_min >= -1074``; below that the smallest ones collide."""
+    k_min = (1 if fmt.includes_subnormals else 0) - fmt.bias - fmt.mant_bits
+    top = 2 ** (fmt.exp_bits + fmt.mant_bits) - fmt.reserved - 1
+    least, second, largest = _magnitudes(fmt, np.array([0, 1, top])).tolist()
+    if not math.isfinite(largest):
+        raise InvalidSpec(f"format {fmt} exceeds float64 range")
+    if k_min < -1074:
+        raise InvalidSpec(f"format {fmt} does not yield an increasing grid")
+    return least, second if least == 0.0 else least, largest
 
 
 # --- rounding kernels -----------------------------------------------------
@@ -174,8 +193,8 @@ def _clamp_and_step(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     step at each entry, ``2**(max(k, k_lo) - mant_bits)`` for
     ``2**k <= |x| < 2**(k+1)``.  The exponent field of a float64 alone is
     ``2**k`` (0 for a subnormal)."""
-    g = enumerate_grid(fmt)
-    np.clip(x, -g[-1], g[-1], out=x)
+    top = _ends(fmt)[2]
+    np.clip(x, -top, top, out=x)
     x += 0.0
     k_lo = 1 - fmt.bias if fmt.includes_subnormals else -fmt.bias
     bits = x.view(np.int64).copy()  # an array even for 0-d x, unlike x & mask
@@ -190,7 +209,7 @@ def _gap(x: np.ndarray, fmt: FpFormat):
     subnormals; None for a format with them."""
     if fmt.includes_subnormals:
         return None
-    gmin = enumerate_grid(fmt)[0]
+    gmin = _ends(fmt)[0]
     return (x > -gmin) & (x < gmin)
 
 
@@ -208,7 +227,7 @@ def _rtn_even_inplace(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     np.rint(x, out=x)
     x *= step
     if gap is not None:  # the gap rounds to +-min; rint kept the sign
-        np.copysign(enumerate_grid(fmt)[0], x, out=x, where=gap)
+        np.copysign(_ends(fmt)[0], x, out=x, where=gap)
     return x
 
 
@@ -219,7 +238,7 @@ def _stoch_inplace(x: np.ndarray, fmt: FpFormat, u) -> np.ndarray:
     step = _clamp_and_step(x, fmt)
     gap = _gap(x, fmt)
     if gap is not None:  # the gap (-min, min) has no zero
-        gmin = enumerate_grid(fmt)[0]
+        gmin = _ends(fmt)[0]
         ends = np.where(u < (x + gmin) / (2.0 * gmin), gmin, -gmin)
     x /= step
     n = np.floor(x)
@@ -258,7 +277,6 @@ def rtn_value(x, fmt: FpFormat):
 # --- schemes --------------------------------------------------------------
 
 ValueFormat = Union[FpFormat, IntSpec]
-ScaleFormat = Union[FpFormat, Bf16Spec]
 
 
 @dataclass(frozen=True)
@@ -266,7 +284,7 @@ class QuantScheme:
     """A complete block-quantization recipe."""
 
     value_format: ValueFormat
-    scale_format: ScaleFormat
+    scale_format: FpFormat
     group_size: int
     clipping: Optional[float] = None
     rounding: str = ROUND_NEAREST_EVEN
@@ -274,6 +292,7 @@ class QuantScheme:
 
     def __post_init__(self):
         _want_fields(self)
+        _want("scale_format", self.scale_format, FpFormat)
         if self.group_size not in VALID_GROUP_SIZES:
             raise InvalidSpec(
                 f"group_size must be one of {VALID_GROUP_SIZES}, got {_show(self.group_size)}"
@@ -287,7 +306,7 @@ class QuantScheme:
     def grid_max(self) -> float:
         if isinstance(self.value_format, IntSpec):
             return float(self.value_format.grid_max)
-        return float(enumerate_grid(self.value_format)[-1])
+        return _ends(self.value_format)[2]
 
     def __str__(self) -> str:
         return self.name or f"{self.value_format}/{self.scale_format}/g{self.group_size}"
@@ -313,7 +332,7 @@ def nvfp4_scheme(rounding: str = ROUND_NEAREST_EVEN) -> QuantScheme:
 def int4_scheme(
     rounding: str = ROUND_NEAREST_EVEN, clipping: Optional[float] = INT4_GAUSSIAN_CLIP
 ) -> QuantScheme:
-    return QuantScheme(IntSpec(4), Bf16Spec(), 32, clipping, rounding, name="int4")
+    return QuantScheme(IntSpec(4), BF16, 32, clipping, rounding, name="int4")
 
 
 _PRESETS = {"mxfp4": mxfp4_scheme, "nvfp4": nvfp4_scheme, "int4": int4_scheme}
@@ -338,30 +357,11 @@ def scheme_by_name(
     return dataclasses.replace(scheme, group_size=group_size)
 
 
-def round_bf16(x):
-    """Round to the nearest bfloat16 value (half-to-even on float32 bits)."""
-    x32 = np.asarray(x, dtype=np.float32)
-    u = x32.view(np.uint32)
-    lsb = (u >> np.uint32(16)) & np.uint32(1)
-    rounded = (u + np.uint32(0x7FFF) + lsb) & np.uint32(0xFFFF0000)
-    return rounded.view(np.float32).astype(np.float64)
-
-
-@lru_cache(maxsize=32)
-def _scale_min_positive(sf: ScaleFormat) -> float:
-    """The smallest positive value of the scale format ``sf``."""
-    if isinstance(sf, Bf16Spec):
-        return _BF16_MIN_POSITIVE
-    grid = enumerate_grid(sf)
-    return float(grid[grid > 0.0][0])
-
-
 @lru_cache(maxsize=32)
 def _pow2_exponent_range(sf: FpFormat) -> tuple[int, int]:
     """Biased float64 exponent fields of the least positive and the largest
     value of the power-of-two format ``sf``."""
-    ends = (_scale_min_positive(sf), enumerate_grid(sf)[-1])
-    return tuple(int(np.frexp(v)[1]) + 1022 for v in ends)  # 2**k = 0.5 * 2**(k+1)
+    return tuple(int(np.frexp(v)[1]) + 1022 for v in _ends(sf)[1:])  # 2**k = 0.5 * 2**(k+1)
 
 
 def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
@@ -372,11 +372,7 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
     zero anyway for all-zero groups).
     """
     sf = scheme.scale_format
-    if isinstance(sf, Bf16Spec):
-        # Past the largest finite bf16 the float32 cast gives inf, and the
-        # codes 0 * inf = NaN; clamped, the codes saturate instead.
-        s = round_bf16(np.minimum(raw, _BF16_MAX))
-    elif sf.mant_bits == 0:
+    if sf.mant_bits == 0:
         # Power-of-two grid: round the exponent up, so absmax / scale never
         # exceeds the value grid's max and no value saturates.  The ceiling
         # is the float64 exponent field, plus one unless the mantissa is
@@ -384,9 +380,9 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         bits = raw.view(np.int64)
         e = (bits >> 52) + ((bits & ((1 << 52) - 1)) != 0)
         return (np.clip(e, *_pow2_exponent_range(sf)) << 52).view(np.float64)
-    else:
-        s = rtn_value(raw, sf)
-    return np.where((raw <= 0.0) | (s <= 0.0), _scale_min_positive(sf), s)
+    # Past the grid's max the scale clamps there, so the codes saturate.
+    s = _rtn_even(raw, sf)
+    return np.maximum(s, _ends(sf)[1], out=s)
 
 
 def _round_codes(

@@ -17,8 +17,10 @@ bit-exact round trips for both dtypes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
+from typing import Union
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .errors import (
     UnsupportedVersion,
     ValidationError,
 )
-from .linalg import MAX_ELEMENTS, _show
+from .linalg import MAX_ELEMENTS, _show, _want
 
 MAGIC = b"WTEN"
 VERSION = 1
@@ -40,12 +42,15 @@ _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F64: np.dtype("<f8")}
 
 MAX_NDIM = 8
 
+_PATH = Union[str, os.PathLike]  # a file name, not an open descriptor
+
 
 def write_tensor(path, m, dtype: str = "f64") -> None:
     """Write an array to ``path``; ``dtype`` is ``"f64"`` or ``"f32"``.
 
     The array must be bool, integer or real: complex, string and object
     arrays are refused rather than cast (a cast would drop data)."""
+    _want("path", path, _PATH)
     arr = np.ascontiguousarray(m)
     if dtype == "f64":
         code = DTYPE_F64
@@ -69,6 +74,7 @@ def write_tensor(path, m, dtype: str = "f64") -> None:
 
 def read_tensor(path) -> np.ndarray:
     """Read a tensor written by :func:`write_tensor` as float64."""
+    _want("path", path, _PATH)
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:

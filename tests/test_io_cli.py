@@ -242,6 +242,9 @@ def test_config_type_errors():
             parse_config(_doc(**{key: value}))
     with pytest.raises(InvalidSpec, match="transforms"):
         parse_config(_doc(transforms="wush"))
+    for key in ("transforms", "schemes", "seeds"):
+        with pytest.raises(InvalidSpec, match=f"{key}: list is empty"):
+            parse_config(_doc(**{key: []}))
     with pytest.raises(InvalidSpec, match="transforms: unknown transform kind"):
         parse_config(_doc(transforms=["wushh"]))
     with pytest.raises(InvalidSpec):
@@ -583,16 +586,19 @@ def test_cli_sweep_output_override(tmp_path, capsys):
     assert not (tmp_path / "losses.csv").exists()
 
 
-@pytest.mark.parametrize("fmt", ["mxfp4", "nvfp4", "int4", "e2m1", "e4m3", "e8m0"])
+@pytest.mark.parametrize("fmt", ["mxfp4", "nvfp4", "int4", "e2m1", "e4m3", "e8m0", "bf16"])
 def test_cli_grids(fmt, capsys):
     assert cli.main(["grids", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert out.strip()
     if fmt == "int4":
         assert "clipping: 0.95" in out
-        assert "bfloat16" in out
+        # bf16's least positive (subnormal) and largest finite magnitudes
+        assert "scale [bf16]: 32640 magnitudes in [9.1835496157991212e-41, 3.3895313892515355e+38]" in out
     if fmt == "e2m1":
         assert "8 magnitudes" in out
+    if fmt == "bf16":  # 2**15 codes less IEEE's inf/NaN binade
+        assert "bf16 (32640 magnitudes)" in out
 
 
 def test_cli_validate_fp_and_int(capsys):
@@ -696,17 +702,26 @@ def test_cli_validation_failure_exit_1(tmp_path, capsys):
 
 
 def test_cli_numerical_failure_exit_2(tmp_path, capsys):
-    # zero weights with no damping: the weight moment has no Cholesky factor
-    w_path = str(tmp_path / "w0.wten")
-    x_path = str(tmp_path / "x0.wten")
-    tensorio.write_tensor(w_path, np.zeros((32, 4)))
-    tensorio.write_tensor(x_path, np.random.default_rng(0).standard_normal((32, 8)))
-    rc = cli.main(
-        ["loss", "--weights", w_path, "--activations", x_path,
-         "--kind", "wus", "--scheme", "int4", "--damp", "0"]
-    )
-    assert rc == 2
-    assert "numerical failure" in capsys.readouterr().err
+    rng = np.random.default_rng(0)
+    x_dead = rng.standard_normal((64, 8))
+    x_dead[32:] = 0.0
+    for kind, w, x, why in (
+        # zero weights with no damping: the weight moment has no Cholesky factor
+        ("wus", np.zeros((32, 4)), rng.standard_normal((32, 8)), "not positive definite"),
+        # a block of zero activations with no damping: nothing to whiten
+        ("wush", rng.standard_normal((64, 64)), x_dead, "no positive eigenvalue"),
+    ):
+        w_path = str(tmp_path / "w0.wten")
+        x_path = str(tmp_path / "x0.wten")
+        tensorio.write_tensor(w_path, w)
+        tensorio.write_tensor(x_path, x)
+        rc = cli.main(
+            ["loss", "--weights", w_path, "--activations", x_path,
+             "--kind", kind, "--scheme", "int4", "--damp", "0"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and why in err
 
 
 @pytest.mark.parametrize("kind", ["h", "wush"])
@@ -791,7 +806,7 @@ def _readme_examples():
 def test_readme_cli_examples_match_real_output(tmp_path, monkeypatch, capsys):
     examples = _readme_examples()
     assert [argv[0] for argv in (e[0] for e in examples)] == [
-        "gen", "loss", "plan", "validate", "bounds", "grids"
+        "gen", "loss", "plan", "validate", "bounds", "grids", "grids"
     ]
     monkeypatch.chdir(tmp_path)  # gen writes the files the later examples read
     for argv, shown, open_ended in examples:

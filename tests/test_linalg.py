@@ -284,6 +284,31 @@ def test_integers_past_the_float_range_are_refused_as_non_finite():
             call()
 
 
+def _refusal_cases():
+    from wushkit import E2M1, Layer, build_block, int4_scheme, layer_loss, quantize_group
+    from wushkit import quantize_matrix, rtn_value
+
+    w, x = np.ones((32, 4)), np.ones((32, 8))
+    return {
+        "complex-weights": ("weights", lambda: layer_loss(w + 1j, x, "h", int4_scheme())),
+        "text-moments": ("m_w", lambda: build_block("h", "a", "b")),
+        "text-matrix": ("matrix", lambda: quantize_matrix("abc", int4_scheme())),
+        "text-layer": ("weights", lambda: Layer("a", "b")),
+        "text-eigen": ("sym_eigen input", lambda: sym_eigen([["a"]])),
+        "ragged": ("rtn_value input", lambda: rtn_value([[1.0, 2.0], [3.0]], E2M1)),
+        "complex-objects": ("group values",
+                            lambda: quantize_group(np.full(32, 1j, dtype=object), int4_scheme())),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_refusal_cases()))
+def test_array_inputs_must_be_bool_integer_or_real(case):
+    # refused, not cast: a cast would drop the imaginary part or fail in numpy
+    name, call = _refusal_cases()[case]
+    with pytest.raises(InvalidSpec, match=f"{name} is not an array of bool, integer or real"):
+        call()
+
+
 def test_size_arguments_are_capped():
     # d x d draws stop at the element cap; mc_max_sq's d at 2**53, the last
     # integer float64 holds exactly

@@ -10,8 +10,8 @@ from wushkit import pipeline as pl
 from wushkit import transforms as tf
 from wushkit.errors import InvalidCovariance, InvalidSpec, NumericalError, Overflow, ShapeMismatch
 from wushkit.quantformats import (
+    BF16,
     E8M0,
-    Bf16Spec,
     IntSpec,
     QuantScheme,
     ROUND_STOCHASTIC,
@@ -213,7 +213,7 @@ def test_layer_loss_report_fields_consistent():
 def test_layer_loss_monotone_in_int_bits():
     medians = []
     for bits in (4, 6, 8):
-        scheme = QuantScheme(IntSpec(bits), Bf16Spec(), 32, name=f"int{bits}")
+        scheme = QuantScheme(IntSpec(bits), BF16, 32, name=f"int{bits}")
         losses = [
             pl.layer_loss(*pl.gen_synthetic(_spec(seed=s)), "wush", scheme).layer_loss
             for s in range(8)
@@ -531,6 +531,13 @@ def test_sweep_rejects_empty_grid():
 
     with pytest.raises(InvalidSpec, match="transform list"):
         pl.sweep(Empty())
+
+    class NoSchemes(_StubConfig):
+        def resolved_schemes(self):
+            return []
+
+    with pytest.raises(InvalidSpec, match="scheme list"):
+        pl.sweep(NoSchemes())
 
     class NoSeeds(_StubConfig):
         seeds = ()

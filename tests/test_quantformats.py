@@ -11,6 +11,7 @@ import wushkit.quantformats as qf
 from _oracles import gaussian_mse_clip, rtn_even_table, stoch_table
 from wushkit import InvalidSpec, NaNInput, ShapeMismatch
 from wushkit.pipeline import gen_synthetic
+from wushkit.tensorio import read_tensor, write_tensor
 
 E2M1_GRID = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
 
@@ -37,6 +38,41 @@ def test_e8m0_grid_is_powers_of_two():
     np.testing.assert_array_equal(np.log2(g), np.arange(-127, 128))
 
 
+def test_bf16_grid_is_every_finite_bfloat16():
+    # the upper halves of the finite non-negative float32 bit patterns
+    g = qf.enumerate_grid(qf.BF16)
+    bf16 = (np.arange(0x7F80, dtype=np.uint32) << 16).view(np.float32)
+    np.testing.assert_array_equal(g, bf16.astype(np.float64))
+    assert g[1] == 2.0 ** -133 and g[-1] == (2.0 - 2.0 ** -7) * 2.0 ** 127
+
+
+def test_grid_ends_match_the_table_and_its_checks():
+    # the kernels read a format's ends without building its grid: they must
+    # be the table's, and refused exactly when the table is not finite and
+    # strictly increasing in float64 (formats of up to 16 bits, with none,
+    # one, a binade or all but two codes reserved)
+    checked, refused = 0, {"float64 range": 0, "increasing grid": 0}
+    for exp_bits in range(1, 17):
+        for b, subnormals in itertools.product(range(17 - exp_bits), (True, False)):
+            for reserved in sorted({0, 1, 2 ** b, 2 ** (exp_bits + b) - 2}):
+                try:
+                    fmt = qf.FpFormat(exp_bits, b, subnormals, reserved)
+                except InvalidSpec:  # fewer than two codes left
+                    continue
+                e, m = np.divmod(np.arange(2 ** (exp_bits + b) - reserved), 2 ** b)
+                sub = subnormals & (e == 0)
+                with np.errstate(over="ignore"):
+                    table = np.ldexp(np.where(sub, m, m + 2 ** b), e + sub - fmt.bias - b)
+                if np.isfinite(table).all() and (np.diff(table) > 0).all():
+                    assert qf._ends(fmt) == (table[0], table[table > 0][0], table[-1]), fmt
+                    checked += 1
+                    continue
+                with pytest.raises(InvalidSpec) as exc:
+                    qf._ends(fmt)
+                refused[next(why for why in refused if why in str(exc.value))] += 1
+    assert checked > 300 and min(refused.values()) > 10, (checked, refused)
+
+
 def test_grid_is_readonly():
     g = qf.enumerate_grid(qf.E2M1)
     with pytest.raises(ValueError):
@@ -51,16 +87,21 @@ def test_fpformat_validation():
     for exp_bits, mant_bits in ((2.0, 1), (2, "1"), (True, 1)):
         with pytest.raises(InvalidSpec, match="_bits"):
             qf.FpFormat(exp_bits, mant_bits)
-    # the flags are bools (numpy's included), stored as bool
-    for field in ("includes_subnormals", "top_nan"):
-        for value in ("no", 1, None, np.int64(0)):
-            with pytest.raises(InvalidSpec, match=field):
-                qf.FpFormat(2, 1, **{field: value})
-    fmt = qf.FpFormat(2, 1, top_nan=np.True_)
-    assert fmt.top_nan is True
+    # the flag is a bool (numpy's included), stored as bool
+    for value in ("no", 1, None, np.int64(0)):
+        with pytest.raises(InvalidSpec, match="includes_subnormals"):
+            qf.FpFormat(2, 1, includes_subnormals=value)
+    # the reserved top codes are a count that leaves at least two values
+    for value in ("1", 1.0, True, None, -1, 7):
+        with pytest.raises(InvalidSpec, match="reserved"):
+            qf.FpFormat(2, 1, reserved=value)
+    fmt = qf.FpFormat(2, 1, reserved=np.int64(1))
+    assert type(fmt.reserved) is int
     assert qf.enumerate_grid(fmt)[-1] == 4.0  # the top code left the grid
-    assert qf.E4M3.top_nan and qf.E8M0.top_nan and not qf.E2M1.top_nan
-    assert qf.FORMATS == {"e2m1": qf.E2M1, "e4m3": qf.E4M3, "e8m0": qf.E8M0}
+    np.testing.assert_array_equal(qf.enumerate_grid(qf.FpFormat(2, 1, reserved=6)), [0.0, 0.5])
+    assert (qf.E2M1.reserved, qf.E4M3.reserved, qf.E8M0.reserved) == (0, 1, 1)
+    assert qf.BF16.reserved == 2 ** 7  # IEEE's inf/NaN binade
+    assert qf.FORMATS == {"e2m1": qf.E2M1, "e4m3": qf.E4M3, "e8m0": qf.E8M0, "bf16": qf.BF16}
 
 
 # ----------------------------------------------------------- nearest-even
@@ -106,14 +147,17 @@ def test_rtn_rejects_nan():
 
 def _formats(exp_bits):
     """Every format with ``exp_bits`` and 0-7 mantissa bits, with and without
-    subnormals and a top NaN code, whose grid fits float64."""
-    for mant_bits, subnormals, nan in itertools.product(range(8), (True, False), (False, True)):
-        fmt = qf.FpFormat(exp_bits, mant_bits, subnormals, nan)
-        try:
-            qf.enumerate_grid(fmt)
-        except InvalidSpec:  # fewer than two values
-            continue
-        yield fmt
+    subnormals, with no reserved code, the top one or the top binade, whose
+    grid fits float64; and the named formats with ``exp_bits``."""
+    for mant_bits, subnormals in itertools.product(range(8), (True, False)):
+        for reserved in sorted({0, 1, 2 ** mant_bits}):
+            try:
+                fmt = qf.FpFormat(exp_bits, mant_bits, subnormals, reserved)
+                qf.enumerate_grid(fmt)
+            except InvalidSpec:  # fewer than two values
+                continue
+            yield fmt
+    yield from (fmt for fmt in qf.FORMATS.values() if fmt.exp_bits == exp_bits)
 
 
 def _probe_values(fmt, rng):
@@ -137,7 +181,7 @@ def _bits(a):
 def test_closed_form_rounding_matches_table_search(exp_bits):
     rng = np.random.default_rng(exp_bits)
     for fmt in _formats(exp_bits):
-        label = f"{fmt} subnormals={fmt.includes_subnormals} nan={fmt.top_nan}"
+        label = f"{fmt} subnormals={fmt.includes_subnormals} reserved={fmt.reserved}"
         x = _probe_values(fmt, rng)
         np.testing.assert_array_equal(
             _bits(qf._rtn_even(x, fmt)), _bits(rtn_even_table(x, fmt)), err_msg=label
@@ -185,20 +229,23 @@ def test_quantize_matrix_digest(preset, rounding):
 # ------------------------------------------------------------------- bf16
 
 
-def test_round_bf16_basics():
+def test_bf16_rounding_basics():
     # bfloat16: 7 explicit mantissa bits, so the step just above 1.0 is 2^-7
-    assert qf.round_bf16(1.0) == 1.0
-    assert qf.round_bf16(1.0 + 2.0 ** -7) == 1.0 + 2.0 ** -7
+    assert qf.rtn_value(1.0, qf.BF16) == 1.0
+    assert qf.rtn_value(1.0 + 2.0 ** -7, qf.BF16) == 1.0 + 2.0 ** -7
     # halfway between 1 and 1+2^-7 rounds to the even mantissa (1.0)
-    assert qf.round_bf16(1.0 + 2.0 ** -8) == 1.0
+    assert qf.rtn_value(1.0 + 2.0 ** -8, qf.BF16) == 1.0
     # halfway between 1+2^-7 and 1+2^-6 rounds up to the even 1+2^-6
-    assert qf.round_bf16(1.0 + 3.0 * 2.0 ** -8) == 1.0 + 2.0 ** -6
+    assert qf.rtn_value(1.0 + 3.0 * 2.0 ** -8, qf.BF16) == 1.0 + 2.0 ** -6
+    # just past the halfway point rounds up, once: through float32 it would
+    # first land on the tie and then go to the even 1.0
+    assert qf.rtn_value(1.0 + 2.0 ** -8 + 2.0 ** -30, qf.BF16) == 1.0 + 2.0 ** -7
 
 
-def test_round_bf16_idempotent_and_close():
+def test_bf16_rounding_idempotent_and_close():
     xs = np.random.default_rng(1).standard_normal(1000) * 40.0
-    r = qf.round_bf16(xs)
-    np.testing.assert_array_equal(qf.round_bf16(r), r)
+    r = qf.rtn_value(xs, qf.BF16)
+    np.testing.assert_array_equal(qf.rtn_value(r, qf.BF16), r)
     assert np.max(np.abs(r - xs) / np.abs(xs)) <= 2.0 ** -8 + 1e-12
 
 
@@ -261,7 +308,7 @@ def test_int4_scales_are_bf16():
     scheme = qf.int4_scheme()
     block = np.random.default_rng(4).standard_normal(32)
     g = qf.quantize_group(block, scheme)
-    assert qf.round_bf16(g.scale) == g.scale
+    assert qf.rtn_value(g.scale, qf.BF16) == g.scale
     # past the largest finite bf16 the scale saturates there, codes at +-7
     bf16_max = (2.0 - 2.0 ** -7) * 2.0 ** 127
     for absmax in (2.6e39, 1e40, 1e300):
@@ -270,6 +317,20 @@ def test_int4_scales_are_bf16():
         assert g.scale == bf16_max
         np.testing.assert_array_equal(g.codes, np.sign(block) * 7.0)
         assert np.isfinite(qf.quantize_matrix(block[:, None], scheme)).all()
+
+
+def test_int4_scales_match_table_search():
+    # raw scales from 2**-140 (below bf16's subnormals) to 2**128 (past its
+    # max), ties and the float32 double-rounding case among them; a scale
+    # that rounds to zero becomes the least positive bf16, 2**-133
+    rng = np.random.default_rng(5)
+    raw = np.ldexp(1.0 + rng.random(100_000), rng.integers(-140, 128, 100_000))
+    raw[:4] = [1.0 + 2.0 ** -8, 1.0 + 2.0 ** -8 + 2.0 ** -30, 2.0 ** -134, 0.0]
+    want = rtn_even_table(raw, qf.BF16)
+    want[want == 0.0] = qf.enumerate_grid(qf.BF16)[1]
+    got = qf._represent_scales(raw, qf.int4_scheme())
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert got[1] == 1.0 + 2.0 ** -7 and got[2] == got[3] == 2.0 ** -133
 
 
 def test_int4_clip_constant():
@@ -516,8 +577,12 @@ _STOCH = qf.int4_scheme(rounding=qf.ROUND_STOCHASTIC)
     ("rng", lambda: qf.quantize_matrix(np.zeros((32, 2)), _STOCH, 5)),
     ("rng", lambda: qf.quantize_group(np.zeros(32), _STOCH, 5)),
     ("fmt", lambda: qf.rtn_value(1.0, "e2m1")),
+    ("fmt", lambda: qf.enumerate_grid("e2m1")),
     ("spec", lambda: gen_synthetic({"d_in": 4})),
-], ids=["matrix-scheme", "group-scheme", "matrix-rng", "group-rng", "rtn-fmt", "synthetic-spec"])
+    ("path", lambda: read_tensor(5)),
+    ("path", lambda: write_tensor(2 ** 20, np.zeros(2))),  # open() would take a descriptor
+], ids=["matrix-scheme", "group-scheme", "matrix-rng", "group-rng", "rtn-fmt", "grid-fmt",
+        "synthetic-spec", "read-path", "write-path"])
 def test_entries_refuse_arguments_of_the_wrong_type(name, call):
     with pytest.raises(InvalidSpec, match=name):
         call()

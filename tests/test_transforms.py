@@ -202,6 +202,8 @@ def test_build_block_validation():
         tf.build_block("h", np.full((1, 2, 2), np.nan), np.eye(2)[None])
     with pytest.raises(NotPositiveDefinite):
         tf.build_block("wus", np.zeros((1, 4, 4)), np.eye(4)[None])
+    with pytest.raises(NotPositiveDefinite, match="no positive eigenvalue"):
+        tf.build_block("wush", np.eye(4)[None], np.zeros((1, 4, 4)))
     for kind in ("r", "h"):
         with pytest.raises(InvalidSpec, match="seed"):
             tf.build_block(kind, np.eye(2)[None], np.eye(2)[None], seed=-1)
