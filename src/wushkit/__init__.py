@@ -64,6 +64,7 @@ from .stats_bounds import (
     gaussian_max_bound,
     laplacian_max_bound,
     mc_max_sq,
+    mc_max_sq_dims,
 )
 from .tensorio import read_tensor, write_tensor
 from .transforms import (

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .config import format_float, load_config, write_sweep_csv
-from .errors import NumericalError, ValidationError
+from .errors import InvalidSpec, NumericalError, ValidationError
 from .linalg import hadamard, sym_eigen
 from .noise import (
     FpRelative,
@@ -50,7 +51,7 @@ from .quantformats import (
     enumerate_grid,
     scheme_by_name,
 )
-from .stats_bounds import mc_max_sq
+from .stats_bounds import COV_STRUCTURES, FAMILIES, MAX_EXACT_DIMENSION, mc_max_sq_dims
 from .tensorio import read_tensor, write_tensor
 from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS, Layer, PlanSpec, build_layer_plan
 
@@ -252,17 +253,28 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    top = MAX_EXACT_DIMENSION.bit_length() - 1
+    if args.max_log2_d > top:
+        raise InvalidSpec(
+            f"--max-log2-d {args.max_log2_d}: dimension 2**{args.max_log2_d} exceeds "
+            f"2**{top}, past exact float64 integers"
+        )
     print("family,d,correlated,empirical,se,bound,holds")
+    dims = [1 << k for k in range(args.max_log2_d + 1)]
+    table = {
+        (family, cov): mc_max_sq_dims(family, dims, cov, args.samples, args.seed)
+        for family in FAMILIES
+        for cov in COV_STRUCTURES
+    }
     worst = 0
-    for family in ("gaussian", "laplacian"):
-        for k in range(args.max_log2_d + 1):
-            d = 1 << k
-            for cov in ("iid", "correlated"):
-                est = mc_max_sq(family, d, cov, args.samples, args.seed)
+    for family in FAMILIES:
+        for k in range(len(dims)):
+            for cov in COV_STRUCTURES:
+                est = table[family, cov][k]
                 holds = est.consistent()
                 worst = max(worst, 0 if holds else 1)
                 print(
-                    f"{family},{d},{int(est.correlated)},"
+                    f"{family},{est.d},{int(est.correlated)},"
                     f"{format_float(est.empirical)},{format_float(est.se)},"
                     f"{format_float(est.bound)},{'yes' if holds else 'NO'}"
                 )
@@ -316,8 +328,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The process's one parser, built at the first ``main`` call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -65,6 +65,12 @@ def _as_float64(m, name: str, ndim: Optional[int] = None) -> np.ndarray:
     try:
         a = np.asarray(m)
         real = a.dtype.kind in "biufO"  # O: Python integers past int64, say
+        if a.dtype.kind == "O":  # the cast's float() would read text, and None as NaN
+            for v in a.flat:
+                if not isinstance(v, (numbers.Real, np.bool_)):
+                    raise InvalidSpec(
+                        f"{name} is not an array of bool, integer or real: holds {type(v).__name__}"
+                    )
         if real:
             a = a.astype(np.float64, copy=False)
     except OverflowError:  # a Python integer past the float range
@@ -103,7 +109,7 @@ def _want(name: str, value, kind, error=InvalidSpec, low=None):
     if type(value) is kind and kind is not int and kind is not float:
         return value  # the common case, kept cheap for per-block entry checks
     if get_origin(kind) is tuple:
-        if not isinstance(value, (list, tuple, np.ndarray)):
+        if not isinstance(value, (list, tuple, np.ndarray)) or getattr(value, "ndim", 1) == 0:
             raise error(f"{name}: expected list, got {type(value).__name__}")
         item = get_args(kind)[0]
         return tuple(_want(f"{name}[{i}]", v, item, error, low) for i, v in enumerate(value))

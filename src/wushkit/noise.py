@@ -249,7 +249,7 @@ def one_sided_loss_mc(
         np.matmul(b, t_arr.T, out=a)  # a = T y
         _eta_into(model, rng, b)
         if isinstance(model, IntAbsmax):
-            b *= np.maximum(a.max(axis=1), -a.min(axis=1))[:, None]  # |T y|_inf
+            b *= np.abs(a, out=a).max(axis=1)[:, None]  # |T y|_inf; a is rewritten next
         else:
             b *= a
         np.matmul(b, t_inv.T, out=a)  # a = T^-1 eps

@@ -37,6 +37,13 @@ so each sample is a few uniforms ``U, V, W`` on (0, 1) pushed through it
   ``p_min = p_max (1 - (1 - V)^{1/(d-1)})``, with ``1 - V`` drawn as ``V``
   since it is uniform too.  ``g = Phi^{-1}(W)``.  At d = 1 there is no min.
 
+The uniforms do not depend on d, so ``mc_max_sq_dims`` draws each chunk of
+them once and pushes it through every requested d as one ``(n_dims, rows)``
+array, the dimensions split into groups small enough that a group holds at
+most about ``_CHUNK_SCALARS`` live float64 values; ``mc_max_sq`` is its
+one-dimension call.  Every d reads the same draws, so each estimate is
+bit for bit the one-dimension one, and their errors are correlated across d.
+
 ``Phi^{-1}`` is Wichura's AS241, vectorized (``_ndtri``).  The tests check
 the estimates against references in ``tests/_oracles.py``: a sampler that
 draws every coordinate, and the survival identity itself by adaptive
@@ -130,13 +137,15 @@ _FAR_DEN = (
     5.9983220655588793769e-1, 1.0,
 )
 
-#: float64 values per sample that one chunk of ``mc_max_sq`` holds at its peak,
-#: uniforms included (measured with tracemalloc: 17.6 for the equicorrelated
-#: Gaussian at d > 1, the largest cell; 4 for the i.i.d. Laplacian).
+#: float64 values per sample and dimension that one chunk of ``mc_max_sq_dims``
+#: holds at its peak, uniforms included (measured with tracemalloc: 17.6 for
+#: the equicorrelated Gaussian at d > 1, the largest cell; 4 for the i.i.d.
+#: Laplacian).
 _LIVE_PER_SAMPLE = 18
 
-#: Live float64 values one chunk of ``mc_max_sq`` may hold (128 MiB); the
-#: chunking does not change the result beyond summation order.
+#: Live float64 values one chunk of ``mc_max_sq_dims`` may hold (128 MiB); the
+#: chunking does not change the result beyond summation order, and the
+#: grouping of dimensions not at all.
 _CHUNK_SCALARS = 1 << 24
 
 #: Uniforms per sample: ``U`` always, ``V`` for the second variable of the
@@ -209,16 +218,19 @@ def _open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _max_sq_from_uniforms(
-    u: np.ndarray, d: int, family: str, cov: str, rho: float, var: float
+    u: np.ndarray, d, family: str, cov: str, rho: float, var: float
 ) -> np.ndarray:
-    """``max_k X_k^2`` for each row of ``u``, from its order-statistic law.
+    """``max_k X_k^2`` for each row of ``u`` and each dimension ``d``, from
+    its order-statistic law.
 
     ``u`` has shape ``(rows, _N_UNIFORMS[family, cov])`` with entries in
     (0, 1): column 0 is ``U``, column 1 ``V`` and column 2 ``W`` of the module
-    docstring.  Finite for any such entries.
+    docstring.  ``d`` is one dimension, giving ``(rows,)`` values, or an
+    ``(n_dims, 1)`` column of them, giving ``(n_dims, rows)``; each entry is
+    computed by the same operations either way.  Finite for any such entries.
     """
-    lu = np.log(u[:, 0])
-    lu /= d
+    d = np.asarray(d, dtype=np.float64)
+    lu = np.log(u[:, 0]) / d
     if cov == "iid" and family == "laplacian":
         # -max|X_k| / b, with b^2 = var / 2
         m = np.log(-np.expm1(lu))
@@ -242,9 +254,10 @@ def _max_sq_from_uniforms(
     m *= c
     m += g
     m *= m
-    if d > 1:
-        lv = np.log(u[:, 1])
-        lv /= d - 1
+    has_min = d > 1
+    if has_min.any():
+        # at d = 1 the divisor is replaced by 1 and the result left unused
+        lv = np.log(u[:, 1]) / np.maximum(d - 1.0, 1.0)
         r = -np.expm1(lv)
         # p_min = p_max r; its complement (1 - r) + r q_max has no cancellation
         q_max *= r
@@ -254,9 +267,79 @@ def _max_sq_from_uniforms(
         lo *= c
         lo += g
         lo *= lo
-        np.maximum(m, lo, out=m)
+        np.maximum(m, lo, out=m, where=has_min)
     m *= var
     return m
+
+
+def mc_max_sq_dims(
+    family: str,
+    dims,
+    cov: str = "iid",
+    n_samples: int = 100000,
+    seed: int = 0,
+    rho: float = 0.5,
+    var: float = 1.0,
+) -> tuple:
+    """:func:`mc_max_sq` at each dimension of ``dims``, from one draw.
+
+    Returns one ``MaxSqEstimate`` per entry of ``dims``, each equal bit for
+    bit to ``mc_max_sq`` at that dimension with the same other arguments.
+    The uniforms do not depend on ``d``, so each chunk of them is drawn once
+    and pushed through every dimension as one ``(n_dims, rows)`` array, the
+    dimensions split into groups so that a group holds at most about
+    ``_CHUNK_SCALARS`` live float64 values.  All dimensions read the same
+    uniforms (common random numbers), so their errors are correlated.
+    Every argument, each dimension included, is checked before any draw.
+    """
+    if family not in FAMILIES:
+        raise InvalidSpec(f"family must be one of {FAMILIES}, got {_show(family)}")
+    if cov not in COV_STRUCTURES:
+        raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {_show(cov)}")
+    dims = _want("dims", dims, tuple[int, ...], low=1)
+    for d in dims:
+        if d > MAX_EXACT_DIMENSION:
+            raise InvalidSpec(f"dimension {_show(d)} exceeds 2**53, past exact float64 integers")
+    _want("n_samples", n_samples, int, low=2)
+    _check_seed(seed)
+    if not 0.0 <= _want("rho", rho, float, InvalidCovariance) < 1.0:
+        raise InvalidCovariance(f"rho must lie in [0, 1), got {rho}")
+    if not 0.0 < _want("var", var, float, InvalidCovariance) < math.inf:
+        raise InvalidCovariance(f"var must be positive and finite, got {var}")
+    if not dims:
+        return ()
+    rng = np.random.default_rng(seed)
+    n_uniforms = _N_UNIFORMS[family, cov]
+    rows_per_chunk = max(1, _CHUNK_SCALARS // _LIVE_PER_SAMPLE)
+    column = np.array(dims, dtype=np.float64)[:, None]
+    total = [0.0] * len(dims)
+    total_sq = [0.0] * len(dims)
+    remaining = n_samples
+    while remaining > 0:
+        rows = min(rows_per_chunk, remaining)
+        u = _open_uniforms(rng, (rows, n_uniforms))
+        group = max(1, _CHUNK_SCALARS // (_LIVE_PER_SAMPLE * rows))
+        for start in range(0, len(dims), group):
+            m = _max_sq_from_uniforms(u, column[start:start + group], family, cov, rho, var)
+            for i, row in enumerate(m, start):  # summed as a one-dimension call sums it
+                total[i] += float(row.sum())
+                total_sq[i] += float((row * row).sum())
+        remaining -= rows
+    bound_fn = gaussian_max_bound if family == "gaussian" else laplacian_max_bound
+    estimates = []
+    for d, t, t_sq in zip(dims, total, total_sq):
+        mean = t / n_samples
+        var_hat = max(t_sq / n_samples - mean * mean, 0.0)
+        var_hat *= n_samples / (n_samples - 1)
+        estimates.append(MaxSqEstimate(
+            empirical=mean,
+            se=math.sqrt(var_hat / n_samples),
+            bound=bound_fn(d, var),
+            d=d,
+            family=family,
+            correlated=(cov == "correlated"),
+        ))
+    return tuple(estimates)
 
 
 def mc_max_sq(
@@ -275,42 +358,8 @@ def mc_max_sq(
     drawn in O(1), independent of ``d``, from the law of the maximum (see the
     module docstring): one to three open-interval uniforms, pushed through
     the closed-form quantiles.  Memory use is bounded by drawing in chunks
-    of at most about ``_CHUNK_SCALARS`` live float64 values.
+    of at most about ``_CHUNK_SCALARS`` live float64 values.  This is
+    :func:`mc_max_sq_dims` at the one dimension ``d``.
     """
-    if family not in FAMILIES:
-        raise InvalidSpec(f"family must be one of {FAMILIES}, got {_show(family)}")
-    if cov not in COV_STRUCTURES:
-        raise InvalidSpec(f"cov must be one of {COV_STRUCTURES}, got {_show(cov)}")
-    if _want("dimension", d, int, low=1) > MAX_EXACT_DIMENSION:
-        raise InvalidSpec(f"dimension {_show(d)} exceeds 2**53, past exact float64 integers")
-    _want("n_samples", n_samples, int, low=2)
-    _check_seed(seed)
-    if not 0.0 <= _want("rho", rho, float, InvalidCovariance) < 1.0:
-        raise InvalidCovariance(f"rho must lie in [0, 1), got {rho}")
-    if not 0.0 < _want("var", var, float, InvalidCovariance) < math.inf:
-        raise InvalidCovariance(f"var must be positive and finite, got {var}")
-    rng = np.random.default_rng(seed)
-    n_uniforms = _N_UNIFORMS[family, cov]
-    rows_per_chunk = max(1, _CHUNK_SCALARS // _LIVE_PER_SAMPLE)
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        rows = min(rows_per_chunk, remaining)
-        u = _open_uniforms(rng, (rows, n_uniforms))
-        m = _max_sq_from_uniforms(u, d, family, cov, rho, var)
-        total += float(m.sum())
-        total_sq += float((m * m).sum())
-        remaining -= rows
-    mean = total / n_samples
-    var_hat = max(total_sq / n_samples - mean * mean, 0.0)
-    var_hat *= n_samples / (n_samples - 1)
-    bound_fn = gaussian_max_bound if family == "gaussian" else laplacian_max_bound
-    return MaxSqEstimate(
-        empirical=mean,
-        se=math.sqrt(var_hat / n_samples),
-        bound=bound_fn(d, var),
-        d=d,
-        family=family,
-        correlated=(cov == "correlated"),
-    )
+    (est,) = mc_max_sq_dims(family, (d,), cov, n_samples, seed, rho, var)
+    return est

@@ -619,6 +619,41 @@ def test_cli_bounds_table(capsys):
     assert all(line.endswith(",yes") for line in lines[1:])
 
 
+def test_cli_bounds_refuses_dimensions_past_2_53_before_drawing(capsys):
+    # 2**53 is the last dimension float64 holds exactly; a larger range is
+    # refused before the header, any draw or any 2**k is made
+    for value in ("54", "1000000000"):
+        tracemalloc.start()
+        try:
+            rc = cli.main(["bounds", "--samples", "100", "--max-log2-d", value])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"--max-log2-d {value}: dimension 2**{value} exceeds 2**53" in captured.err
+        assert peak < 1 << 20
+    assert cli.main(["bounds", "--samples", "2", "--max-log2-d", "53"]) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 2 * 54 * 2 and lines[-1].startswith(f"laplacian,{2 ** 53},1,")
+
+
+def test_cli_bounds_default_table_peaks_under_the_chunk_cap(capsys):
+    # every dimension of a (family, cov) pair shares one draw, in groups
+    # that hold at most about _CHUNK_SCALARS float64 values at a time
+    from wushkit import stats_bounds as sb
+
+    assert cli.main(["bounds", "--samples", "10", "--max-log2-d", "1"]) == 0  # warm up
+    tracemalloc.start()
+    try:
+        assert cli.main(["bounds"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 8 * sb._CHUNK_SCALARS + (1 << 20)
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main([]) == 1
     assert "subcommand is required" in capsys.readouterr().err

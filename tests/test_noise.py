@@ -283,8 +283,8 @@ def test_mc_peak_memory_is_two_chunk_buffers_and_a_tile(model, d, n_samples):
     noise.one_sided_loss_mc(t, moment, model, 10, seed=0)  # warm lazy imports
     m = min(noise._CHUNK, n_samples)
     buffers = 2 * m * d * 8  # the two (m, d) float64 chunk buffers
-    # live per-sample vectors: the INT absmax's max, min and its negation
-    # before their maximum, or the losses li and li * li
+    # live per-sample vectors: the INT absmax (one, |T y| taken in place),
+    # or the losses li and li * li
     vectors = 4 * m * 8
     tile = min(noise._TILE, m) * d * 8
     slack = 16 * d * d * 8 + (64 << 10)  # d x d factors, LAPACK work, scalars

@@ -581,8 +581,11 @@ _STOCH = qf.int4_scheme(rounding=qf.ROUND_STOCHASTIC)
     ("spec", lambda: gen_synthetic({"d_in": 4})),
     ("path", lambda: read_tensor(5)),
     ("path", lambda: write_tensor(2 ** 20, np.zeros(2))),  # open() would take a descriptor
+    # float() would read the text as 1.5 and None as NaN
+    ("rtn_value input", lambda: qf.rtn_value(np.array(["1.5"], dtype=object), qf.E2M1)),
+    ("rtn_value input", lambda: qf.rtn_value(None, qf.E2M1)),
 ], ids=["matrix-scheme", "group-scheme", "matrix-rng", "group-rng", "rtn-fmt", "grid-fmt",
-        "synthetic-spec", "read-path", "write-path"])
+        "synthetic-spec", "read-path", "write-path", "object-text", "none"])
 def test_entries_refuse_arguments_of_the_wrong_type(name, call):
     with pytest.raises(InvalidSpec, match=name):
         call()

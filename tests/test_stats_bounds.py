@@ -1,5 +1,8 @@
 """Closed-form max-square bounds, their Monte Carlo checks, and the quadrature."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 import statistics
@@ -14,6 +17,7 @@ from _oracles import (
     gaussian_cdf,
     survival_expectation,
 )
+from wushkit import cli
 from wushkit import stats_bounds as sb
 from wushkit.errors import InvalidCovariance, InvalidSpec, ValidationError
 
@@ -159,6 +163,74 @@ def test_mc_validation():
     for seed in (-1, 1.5):
         with pytest.raises(InvalidSpec, match="seed"):
             sb.mc_max_sq("gaussian", 4, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# one draw for every dimension
+
+
+def _table_digest(argv):
+    """Row count and a digest of each ``bounds`` row's family, d, correlated
+    and the exact bits of its empirical mean and SE (``.17g`` round-trips)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["bounds", *argv]) == 0
+    rows = buf.getvalue().splitlines()[1:]
+    h = hashlib.sha256()
+    for row in rows:
+        family, d, corr, empirical, se, _, _ = row.split(",")
+        h.update(f"{family},{d},{corr},{float(empirical).hex()},{float(se).hex()}\n".encode())
+    return len(rows), h.hexdigest()
+
+
+def test_bounds_table_bits_are_frozen(monkeypatch):
+    # frozen from the per-dimension loop that drew each row's uniforms anew
+    assert _table_digest(["--samples", "2000", "--seed", "3", "--max-log2-d", "10"]) == (
+        44, "0a06adab9e0f190a70bdf1dd1db241d4f9fb408a6357ccc3bacb41f101607971"
+    )
+    # chunks of 30000, 30000, 30000 and 10000 rows: the first three take one
+    # dimension at a time, the last three
+    monkeypatch.setattr(sb, "_CHUNK_SCALARS", sb._LIVE_PER_SAMPLE * 30000)
+    assert _table_digest(["--samples", "100000", "--seed", "2", "--max-log2-d", "10"]) == (
+        44, "61ef42d872ccee091642cd907115fe2e62283ccfde508f2db79941356865a8bb"
+    )
+
+
+@pytest.mark.parametrize("family", sb.FAMILIES)
+@pytest.mark.parametrize("cov", sb.COV_STRUCTURES)
+def test_one_draw_for_every_dimension_is_the_one_dimension_calls(family, cov, monkeypatch):
+    # chunks of 1000, 1000 and 300 rows; the full ones take one dimension at
+    # a time, the last one groups of 3, 3 and 2
+    monkeypatch.setattr(sb, "_CHUNK_SCALARS", sb._LIVE_PER_SAMPLE * 1000)
+    dims = (1, 2, 3, 64, 3, 1000, 1024, 2 ** 53)
+    args = (cov, 2300, 11, 0.7, 2.5)
+    got = sb.mc_max_sq_dims(family, dims, *args)
+    assert got == tuple(sb.mc_max_sq(family, d, *args) for d in dims)
+    assert [type(e.d) for e in got] == [int] * len(dims)
+    # a scalar d runs the same operations as its row of a column
+    u = sb._open_uniforms(np.random.default_rng(12), (500, sb._N_UNIFORMS[family, cov]))
+    column = np.array(dims, dtype=np.float64)[:, None]
+    batch = sb._max_sq_from_uniforms(u, column, family, cov, 0.7, 2.5)
+    for d, row in zip(dims, batch):
+        assert np.array_equal(sb._max_sq_from_uniforms(u, d, family, cov, 0.7, 2.5), row)
+
+
+def test_mc_dims_checks_every_dimension_before_drawing(monkeypatch):
+    def no_draw(rng, shape):
+        raise AssertionError("drew before checking")
+
+    monkeypatch.setattr(sb, "_open_uniforms", no_draw)
+    with pytest.raises(InvalidSpec, match="exceeds 2\\*\\*53"):
+        sb.mc_max_sq_dims("gaussian", (2, 2 ** 53 + 1))
+    for dims in ((4, 0), (4, 4.5), (4, True)):
+        with pytest.raises(InvalidSpec, match="dims\\[1\\]: expected an integer"):
+            sb.mc_max_sq_dims("laplacian", dims, "correlated")
+    for dims in (4, "4", None, np.array(4)):
+        with pytest.raises(InvalidSpec, match="dims: expected list"):
+            sb.mc_max_sq_dims("gaussian", dims)
+    with pytest.raises(ValidationError, match="n_samples"):
+        sb.mc_max_sq_dims("gaussian", (2, 4), n_samples=1)
+    assert sb.mc_max_sq_dims("gaussian", []) == ()
 
 
 # ---------------------------------------------------------------------------
