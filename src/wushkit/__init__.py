@@ -35,7 +35,6 @@ from .linalg import SymEigen, cholesky, hadamard, invert, random_rotation, sym_e
 from .noise import (
     FpRelative,
     IntAbsmax,
-    compose_transform,
     fp_trace_term,
     int_bounds,
     one_sided_loss_mc,

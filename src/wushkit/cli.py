@@ -6,13 +6,14 @@ Subcommands::
     plan       build block transforms + prequantized weights, persist them
     loss       loss report for one (transform, scheme, seed) cell
     sweep      full transforms x schemes x seeds grid to CSV
-    validate   fp / int noise-model optimality and bound-chain checks
+    validate   the shipped wush builder against the fp / int noise-model
+               optimum and bound chain
     bounds     max-statistic inequality table across families and dims
     grids      print quantizer grids and scale ranges
 
 Exit status: 0 success, 1 validation failure (including usage errors), an
 output path that cannot be written, or stdout closed early, 2 numerical
-failure.
+failure (such as a ``validate`` moment that is not positive definite).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,16 +30,9 @@ import numpy as np
 
 from . import __version__
 from .config import format_float, load_config, write_sweep_csv
-from .errors import InvalidSpec, NumericalError, ValidationError
-from .linalg import hadamard, sym_eigen
-from .noise import (
-    FpRelative,
-    IntAbsmax,
-    compose_transform,
-    int_bounds,
-    one_sided_loss_mc,
-    random_spd_moment,
-)
+from .errors import InvalidSpec, NotPositiveDefinite, NumericalError, ValidationError
+from .linalg import sym_eigen
+from .noise import FpRelative, IntAbsmax, int_bounds, one_sided_loss_mc, random_spd_moment
 from .pipeline import SYNTH_TAILS, SyntheticSpec, evaluate, gen_synthetic, sweep
 from .quantformats import (
     FORMATS,
@@ -51,9 +44,22 @@ from .quantformats import (
     enumerate_grid,
     scheme_by_name,
 )
-from .stats_bounds import COV_STRUCTURES, FAMILIES, MAX_EXACT_DIMENSION, mc_max_sq_dims
+from .stats_bounds import (
+    COV_STRUCTURES,
+    FAMILIES,
+    MAX_EXACT_DIMENSION,
+    gaussian_max_bound,
+    mc_max_sq_dims,
+)
 from .tensorio import read_tensor, write_tensor
-from .transforms import DEFAULT_DAMP, TRANSFORM_KINDS, Layer, PlanSpec, build_layer_plan
+from .transforms import (
+    DEFAULT_DAMP,
+    TRANSFORM_KINDS,
+    Layer,
+    PlanSpec,
+    build_block,
+    build_layer_plan,
+)
 
 
 class _UsageError(Exception):
@@ -212,17 +218,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _optimal_fp_transform(d: int, seed: int, spread: float):
-    moment, s = random_spd_moment(d, seed, spread)
-    u, lam = sym_eigen(moment)
-    s = np.sqrt(lam)
-    t = compose_transform(hadamard(d), np.sqrt(s), np.eye(d), u, s)
-    return moment, s, t
-
-
 def _cmd_validate(args) -> int:
-    moment, s, t = _optimal_fp_transform(args.d, args.seed, args.spread)
+    """Checks the shipped ``wush`` builder: with ``M_W = I`` its ``t_act`` is
+    the FP-optimal ``H Lam^-1/4 U^T`` of the moment."""
     d = args.d
+    moment, _ = random_spd_moment(d, args.seed, args.spread)
+    lam = sym_eigen(moment).eigenvalues
+    if not lam[-1] > 0.0:
+        raise NotPositiveDefinite(
+            f"the random moment at --spread {format_float(args.spread)} is not positive "
+            f"definite in float64 (smallest eigenvalue {lam[-1]:.3e}); lower --spread"
+        )
+    s = np.sqrt(lam)
+    t = build_block("wush", np.eye(d)[None], moment[None])[0][0]
     if args.which == "fp":
         model = FpRelative(3, 3)
         est = one_sided_loss_mc(t, moment, model, args.samples, args.seed)
@@ -240,7 +248,7 @@ def _cmd_validate(args) -> int:
     est = one_sided_loss_mc(t, moment, model, args.samples, args.seed)
     chain = int_bounds(s, np.sqrt(s))
     scaled = est.value / model.eta_second_moment()
-    refined = (2.0 * math.log(2.0 * d) + 2.0) / d * float(s.sum()) ** 2
+    refined = gaussian_max_bound(d) / d * float(s.sum()) ** 2
     print("model:         IntAbsmax(4), midrise step absmax/8 (not the int4 preset)")
     print(f"d:             {d}")
     print(f"mc_loss/eta2:  {format_float(scaled)}")

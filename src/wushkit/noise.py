@@ -16,8 +16,10 @@ form in the FP model and a two-sided bound chain in the INT model.  Both are
 expressed through the generic parameterization ``T = U' S' R^T S^-1 U^T``
 where ``(U, S**2)`` eigendecomposes the input's second moment and
 ``(U', S', R)`` are free: ``fp_trace_term`` evaluates the FP objective and
-``int_bounds`` the INT chain.  ``one_sided_loss_mc`` estimates either loss
-by straight Monte Carlo for cross-checking the algebra.
+``int_bounds`` the INT chain.  The FP optimum ``U' = H``, ``S' = S**1/2``,
+``R = I`` is not assembled here: it is ``transforms.build_block("wush")``
+with ``M_W = I``, which ``wushkit validate`` feeds to ``one_sided_loss_mc``,
+the straight Monte Carlo estimate of either loss.
 
 Memory: ``one_sided_loss_mc`` draws ``_CHUNK`` samples at a time into two
 preallocated ``(chunk, d)`` float64 buffers and does the noise algebra in
@@ -143,23 +145,6 @@ def _check_orthogonal(q: np.ndarray, name: str, tol: float = 1e-6) -> None:
     err = float(np.max(np.abs(q @ q.T - np.eye(d))))
     if not err <= tol:  # NaN (from overflow) fails too
         raise ValidationError(f"{name} is not orthogonal (|QQ^T - I|_max = {err:.2e})")
-
-
-def compose_transform(u_prime, s_prime, r, u, s) -> np.ndarray:
-    """Assemble ``T = U' diag(s') R^T diag(1/s) U^T``.
-
-    ``(u, s)`` come from the input moment's eigendecomposition (moment
-    eigenvalues are ``s**2``); ``(u_prime, s_prime, r)`` are the free
-    parameters of the transform family.
-    """
-    up = _as_square(u_prime, "u_prime")
-    uu = _as_square(u, "u")
-    rr = _as_square(r, "r")
-    sp = _as_1d_positive(s_prime, "s_prime")
-    ss = _as_1d_positive(s, "s")
-    if {up.shape[0], uu.shape[0], rr.shape[0], sp.size} != {ss.size}:
-        raise ShapeMismatch("compose_transform arguments disagree on dimension")
-    return (up * sp[None, :]) @ rr.T @ ((1.0 / ss)[:, None] * uu.T)
 
 
 def fp_trace_term(u_prime, s_prime, r, s) -> float:

@@ -14,6 +14,19 @@ from wushkit.linalg import cholesky, invert
 from wushkit.quantformats import enumerate_grid
 
 
+def compose_transform(u_prime, s_prime, r, u, s):
+    """``T = U' diag(s') R^T diag(1/s) U^T``, the noise model's transform
+    family; no argument checks.
+
+    ``(u, s)`` come from the input moment's eigendecomposition (moment
+    eigenvalues are ``s**2``); ``(u_prime, s_prime, r)`` are the free
+    parameters.  ``U' = H``, ``s' = sqrt(s)``, ``R = I`` is the FP optimum
+    that ``build_block("wush")`` builds with ``M_W = I``.
+    """
+    up, sp, rr, uu, ss = (np.asarray(a, dtype=np.float64) for a in (u_prime, s_prime, r, u, s))
+    return (up * sp[None, :]) @ rr.T @ ((1.0 / ss)[:, None] * uu.T)
+
+
 def rtn_even_table(x, fmt):
     """Nearest value of ``fmt``'s magnitude table to ``x`` by binary search,
     exact ties to the even table index (= even code), clamped to the ends."""

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import compose_transform
 from wushkit import cli
 from wushkit import noise
 from wushkit import pipeline as pl
@@ -39,7 +40,7 @@ def _spectral_setup(d: int, seed: int):
 
 
 def _optimal_transform(d: int, u, s):
-    return noise.compose_transform(hadamard(d), np.sqrt(s), np.eye(d), u, s)
+    return compose_transform(hadamard(d), np.sqrt(s), np.eye(d), u, s)
 
 
 # ---------------------------------------------------------------------------

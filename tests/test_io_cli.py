@@ -602,13 +602,47 @@ def test_cli_grids(fmt, capsys):
 
 
 def test_cli_validate_fp_and_int(capsys):
+    from wushkit.linalg import sym_eigen
+    from wushkit.noise import random_spd_moment
+    from wushkit.stats_bounds import gaussian_max_bound
+
     assert cli.main(["validate", "fp", "--d", "16", "--samples", "20000"]) == 0
     out = capsys.readouterr().out
     assert "verdict:     ok" in out
-    assert cli.main(["validate", "int", "--d", "16", "--samples", "20000"]) == 0
-    out = capsys.readouterr().out
-    assert "verdict:       ok" in out
-    assert "model:         IntAbsmax(4), midrise step absmax/8" in out
+    for d in (16, 4):
+        assert cli.main(["validate", "int", "--d", str(d), "--samples", "20000"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict:       ok" in out
+        assert "model:         IntAbsmax(4), midrise step absmax/8" in out
+        fields = {k: v.strip() for k, v in (line.split(":", 1) for line in out.splitlines())}
+        # refined_upper is the Gaussian max-square bound over d times (sum s)^2
+        s_sum = float(np.sqrt(sym_eigen(random_spd_moment(d, 0)[0]).eigenvalues).sum())
+        assert fields["refined_upper"] == format_float(gaussian_max_bound(d) / d * s_sum ** 2)
+        if d == 4:
+            # below d = 8 the bound's cap min(d, ...) makes it the chain's
+            # upper bound (sum s)^2, which int_bounds sums differently
+            assert fields["refined_upper"] == format_float(s_sum ** 2)
+            refined, upper = float(fields["refined_upper"]), float(fields["upper_bound"])
+            assert abs(refined - upper) <= 4 * np.finfo(float).eps * upper
+
+
+@pytest.mark.parametrize("spread", ["10", "12", "15", "20"])
+@pytest.mark.parametrize("which", ["fp", "int"])
+def test_cli_validate_refuses_a_moment_that_is_not_positive_definite(which, spread, capsys,
+                                                                      monkeypatch):
+    # past spread 10 the log-normal spectrum spans more than float64 holds:
+    # eigh returns a negative eigenvalue (10, 15, 20) or Cholesky fails (12).
+    # Either is a typed numerical failure, raised before any Monte Carlo draw
+    # and without a warning (the suite turns RuntimeWarning into an error).
+    if spread != "12":  # refused before the Monte Carlo call
+        monkeypatch.setattr(cli, "one_sided_loss_mc", None)
+    assert cli.main(["validate", which, "--d", "32", "--spread", spread]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:")
+    assert "not positive definite" in captured.err
+    if spread != "12":
+        assert f"the random moment at --spread {spread} is not positive definite" in captured.err
 
 
 def test_cli_bounds_table(capsys):

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from _oracles import compose_transform
+from wushkit import noise
 from wushkit import transforms as tf
 from wushkit.errors import (
     InvalidSpec, NaNInput, NotPositiveDefinite, NumericalError, Overflow, ShapeMismatch,
 )
-from wushkit.linalg import hadamard, random_rotation
+from wushkit.linalg import hadamard, random_rotation, sym_eigen
 from wushkit.quantformats import mxfp4_scheme, nvfp4_scheme, quantize_matrix
 
 RNG = np.random.default_rng
@@ -116,6 +118,39 @@ def test_isotropic_block_reduces_to_hadamard():
     np.testing.assert_array_equal(t_act, hadamard(8))
     np.testing.assert_allclose(t_weight, hadamard(8), atol=1e-12)
     np.testing.assert_array_equal(_eigenvalues(np.eye(8), np.eye(8)), np.ones(8))
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("d", [16, 32, 128])
+def test_wush_with_identity_weight_moment_is_the_fp_optimum(d, spread):
+    """``build_block("wush", I, M)`` is the noise model's FP optimum
+    ``H diag(s)^-1/2 U^T`` (``M = U diag(s^2) U^T``), as the oracle composes it.
+
+    Both sides multiply the same computed ``H``, ``U`` and eigenvalues
+    ``lam``: the builder's whitened moment ``I M I`` is ``M`` bit for bit
+    and, at these spreads, no eigenvalue reaches the clamp.  Entry ``(i, j)``
+    is ``sum_k H_ik lam_k^-1/4 U_jk``.  With unit roundoff ``u = eps / 2``,
+    each term of the oracle carries at most 7 roundings (two square roots,
+    one reciprocal, three products, each ``(1 + delta)`` factor counted
+    once) and each term of the builder at most 4 (``**-0.25`` within one
+    ulp, i.e. two roundings, and two products); summing ``d`` terms adds
+    ``d - 1``.  By the standard bound each side is within
+    ``gamma(d + 7) * B_ij`` of the exact product, ``gamma(n) = n u / (1 - n u)``
+    and ``B = |H| lam^-1/4 |U|^T``, so they differ by at most twice that.
+    """
+    unit = np.finfo(float).eps / 2
+    gamma = (d + 7) * unit / (1 - (d + 7) * unit)
+    eye = np.eye(d)[None]
+    for seed in (0, 1, 3):
+        moment, _ = noise.random_spd_moment(d, seed, spread)
+        u, lam = sym_eigen(moment)
+        np.testing.assert_array_equal(tf._whitened_core(eye, moment[None])[1][0], lam)
+        t_act, t_weight = tf.build_block("wush", eye, moment[None])
+        s = np.sqrt(lam)
+        want = compose_transform(hadamard(d), np.sqrt(s), np.eye(d), u, s)
+        bound = 2 * gamma * (np.abs(hadamard(d)) @ (lam[:, None] ** -0.25 * np.abs(u.T)))
+        assert np.all(np.abs(t_act[0] - want) <= bound)
+        np.testing.assert_array_equal(t_weight[0], np.linalg.inv(t_act[0]).T)
 
 
 @pytest.mark.parametrize("kind", tf.TRANSFORM_KINDS)
