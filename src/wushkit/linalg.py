@@ -194,8 +194,8 @@ def cholesky(m) -> np.ndarray:
     a = 0.5 * (a + np.swapaxes(a, -1, -2))
     try:
         return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from None
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("cholesky input is not positive definite") from None
 
 
 def sym_eigen(m) -> SymEigen:

@@ -170,8 +170,7 @@ def _act_factor(plan: LayerPlan, x: np.ndarray) -> np.ndarray:
     from the plan's activation stream by :func:`~.transforms._quantize_into`."""
     n, d = plan.n_blocks, plan.d
     b = np.empty((n, 2 * d, x.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
+    np.matmul(plan.t_act, x.reshape(n, d, x.shape[1]), out=b[:, d:])
     _quantize_into(b[:, d:], b[:, :d], plan.spec, ACT_STREAM, "activations")
     np.subtract(b[:, :d], b[:, d:], out=b[:, d:])
     return b
@@ -182,8 +181,7 @@ def _weight_factor(plan: LayerPlan, w: np.ndarray) -> np.ndarray:
     float64 weights that fit the plan; overflow is left to :func:`_finite`."""
     n, d = plan.n_blocks, plan.d
     a = np.empty((n, 2 * d, plan.d_out))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
+    np.matmul(plan.t_weight, w.reshape(n, d, plan.d_out), out=a[:, d:])
     np.subtract(plan.w_hat, a[:, d:], out=a[:, :d])
     return a
 
@@ -203,19 +201,16 @@ def _gram_side(k: int, m: int, n: int) -> bool:
 def _gram(f: np.ndarray) -> np.ndarray:
     """The ``k x k`` Gram of the stacked rows of a factor."""
     f2 = f.reshape(-1, f.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return f2 @ f2.T
+    return f2 @ f2.T
 
 
 def _inner(u: np.ndarray, v: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.vdot(u, v))
+    return float(np.vdot(u, v))
 
 
 def _product_sq(a: np.ndarray, b: np.ndarray) -> float:
     """``|A^T B|_F^2`` from the product, the only ``d_out x d_batch`` array made."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+    err = a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
     return _inner(err, err)
 
 
@@ -232,7 +227,8 @@ def forward_quantized(plan: LayerPlan, x) -> np.ndarray:
     """
     x = _as_finite(x, "activations", 2)
     _check_fit(plan, x)
-    q = _act_factor(plan, x)[:, : plan.d].reshape(plan.d_in, x.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _act_factor(plan, x)[:, : plan.d].reshape(plan.d_in, x.shape[1])
     return plan.w_hat.reshape(plan.d_in, plan.d_out).T @ q
 
 
@@ -242,22 +238,21 @@ def _sq_errors(plan: LayerPlan, layer: Layer, first_order: bool = False):
     ``q`` rows of ``b`` into ``q - (q - x~) = x~``, dropping ``E_W^T E_X``."""
     x, w = layer.x, layer.w
     _check_fit(plan, x, w)
-    b = _act_factor(plan, x)
-    if first_order:
-        b[:, : plan.d] -= b[:, plan.d :]
-    if _gram_side(2 * plan.d_in, plan.d_out, x.shape[1]):
-        gram_b = _gram(b)
-        del b  # one factor alive at a time
-        gram_a = _gram(_weight_factor(plan, w))
-        raw = _inner(gram_a, gram_b)
-        i, shape = np.arange(plan.n_blocks), (plan.n_blocks, 2 * plan.d) * 2
-        gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
-    else:
-        a = _weight_factor(plan, w)
-        raw = _product_sq(a, b)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is left to _finite
+        b = _act_factor(plan, x)
+        if first_order:
+            b[:, : plan.d] -= b[:, plan.d :]
+        if _gram_side(2 * plan.d_in, plan.d_out, x.shape[1]):
+            gram_b = _gram(b)
+            del b  # one factor alive at a time
+            gram_a = _gram(_weight_factor(plan, w))
+            raw = _inner(gram_a, gram_b)
+            i, shape = np.arange(plan.n_blocks), (plan.n_blocks, 2 * plan.d) * 2
+            gram_a, gram_b = (g.reshape(shape)[i, :, i] for g in (gram_a, gram_b))
+        else:
+            a = _weight_factor(plan, w)
+            raw = _product_sq(a, b)
             gram_a, gram_b = (f @ f.transpose(0, 2, 1) for f in (a, b))
-    with np.errstate(over="ignore", invalid="ignore"):
         block_raw = (gram_a * gram_b).sum(axis=(1, 2))
     _finite(raw, block_raw)
     return raw, block_raw

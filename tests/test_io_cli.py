@@ -626,6 +626,22 @@ def test_cli_validate_fp_and_int(capsys):
             assert abs(refined - upper) <= 4 * np.finfo(float).eps * upper
 
 
+def test_cli_validate_fp_band_widens_with_the_standard_error(capsys, monkeypatch):
+    # at 2000 samples seed 0 reads 2.3 mc_se below 1, outside [0.97, 1.05]
+    # but within 3 mc_se/lower_bound of it
+    assert cli.main(["validate", "fp", "--d", "16", "--samples", "2000", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "ratio:       0.96740485354006001" in out
+    assert "verdict:     ok (want ratio in [0.97, 1.05] or within 3 mc_se/lower_bound of 1)" in out
+    # a transform that is not the FP optimum still fails at either sample count
+    build_block = cli.build_block
+    for kind in ("h", "wus"):
+        monkeypatch.setattr(cli, "build_block", lambda _, *a, k=kind: build_block(k, *a))
+        for samples in ("2000", "20000"):
+            assert cli.main(["validate", "fp", "--d", "16", "--samples", samples]) == 1
+            assert "verdict:     FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spread", ["10", "12", "15", "20"])
 @pytest.mark.parametrize("which", ["fp", "int"])
 def test_cli_validate_refuses_a_moment_that_is_not_positive_definite(which, spread, capsys,
@@ -641,8 +657,7 @@ def test_cli_validate_refuses_a_moment_that_is_not_positive_definite(which, spre
     assert captured.out == ""
     assert captured.err.startswith("numerical failure:")
     assert "not positive definite" in captured.err
-    if spread != "12":
-        assert f"the random moment at --spread {spread} is not positive definite" in captured.err
+    assert f"the random moment at --spread {spread} is not positive definite" in captured.err
 
 
 def test_cli_bounds_table(capsys):

@@ -234,13 +234,17 @@ def test_evaluate_matches_layer_loss():
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
 def test_overflowing_loss_is_a_numerical_error_without_warnings(kind):
     # finite data whose squared error (i, r, h) or whitened moment (wus,
-    # wush) leaves float64; the suite turns any RuntimeWarning into an error
-    w, x = pl.gen_synthetic(_spec(d_out=16, d_batch=40))
-    with pytest.raises(Overflow, match="overflows float64") as exc:
-        pl.layer_loss(w * 1e100, x * 1e100, kind, int4_scheme())
-    assert isinstance(exc.value, NumericalError)
-    with pytest.raises(Overflow):
-        pl.first_order_gap(w * 1e100, x * 1e100, kind, int4_scheme())
+    # wush) leaves float64; the suite turns any RuntimeWarning into an error.
+    # The layer error is taken from the product, then from the two Grams.
+    for spec, gram_side in ((_spec(d_out=16, d_batch=40), False),
+                            (_spec(d_in=32, d_out=512, d_batch=512), True)):
+        assert pl._gram_side(2 * spec.d_in, spec.d_out, spec.d_batch) == gram_side
+        w, x = pl.gen_synthetic(spec)
+        with pytest.raises(Overflow, match="overflows float64") as exc:
+            pl.layer_loss(w * 1e100, x * 1e100, kind, int4_scheme())
+        assert isinstance(exc.value, NumericalError)
+        with pytest.raises(Overflow):
+            pl.first_order_gap(w * 1e100, x * 1e100, kind, int4_scheme())
 
 
 @pytest.mark.parametrize("kind", ["h", "r"])
