@@ -151,6 +151,13 @@ def _spec_from_args(args) -> PlanSpec:
     return PlanSpec(args.kind, scheme, args.damp, args.seed)
 
 
+def _cell_record(spec: PlanSpec) -> dict:
+    """The cell settings that ``plan.json`` stores and ``loss`` prints."""
+    scheme = spec.scheme
+    return {"kind": spec.kind, "scheme": scheme.name, "group_size": scheme.group_size,
+            "rounding": scheme.rounding, "damp": spec.damp, "seed": spec.seed}
+
+
 def _cmd_gen(args) -> int:
     fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
     spec = SyntheticSpec(**{k: v for k, v in vars(args).items() if k in fields})
@@ -170,18 +177,8 @@ def _cmd_plan(args) -> int:
     write_tensor(out / "t_act.wten", plan.t_act)
     write_tensor(out / "t_weight.wten", plan.t_weight)
     write_tensor(out / "w_hat.wten", plan.w_hat)
-    spec = plan.spec
-    meta = {
-        "kind": spec.kind,
-        "scheme": spec.scheme.name,
-        "group_size": spec.scheme.group_size,
-        "rounding": spec.scheme.rounding,
-        "damp": spec.damp,
-        "seed": spec.seed,
-        "n_blocks": plan.n_blocks,
-        "d_in": plan.d_in,
-        "d_out": plan.d_out,
-    }
+    meta = {**_cell_record(plan.spec), "n_blocks": plan.n_blocks, "d_in": plan.d_in,
+            "d_out": plan.d_out}
     (out / "plan.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     print(f"wrote {plan.n_blocks} block transforms to {out}")
     return 0
@@ -190,12 +187,8 @@ def _cmd_plan(args) -> int:
 def _cmd_loss(args) -> int:
     layer = Layer(read_tensor(args.weights), read_tensor(args.activations))
     report = evaluate(build_layer_plan(layer, _spec_from_args(args)), layer)
-    spec = report.spec
-    print(f"transform:      {spec.kind}")
-    print(f"scheme:         {spec.scheme.name}")
-    print(f"group_size:     {spec.scheme.group_size}")
-    print(f"seed:           {spec.seed}")
-    print(f"damp:           {format_float(spec.damp)}")
+    for key, value in _cell_record(report.spec).items():
+        print(f"{key + ':':16}{format_float(value) if isinstance(value, float) else value}")
     print(f"layer_loss:     {format_float(report.layer_loss)}")
     print(f"layer_loss_raw: {format_float(report.layer_loss_raw)}")
     print(f"additivity_gap: {format_float(report.additivity_gap)}")
@@ -355,12 +348,6 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
         return code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -371,7 +358,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except OSError as exc:  # an output path that cannot be written
+    except (_UsageError, ValidationError, OSError) as exc:  # OSError: an unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,7 @@ from typing import Optional
 
 from .errors import InvalidSpec, ValidationError
 from .linalg import _check_seed, _show, _want, _want_fields
-from .pipeline import SyntheticSpec, gen_synthetic
+from .pipeline import SweepRow, SyntheticSpec, gen_synthetic
 from .quantformats import ROUND_NEAREST_EVEN, scheme_by_name
 from .tensorio import read_tensor
 from .transforms import DEFAULT_DAMP, _check_damp, _check_kind
@@ -209,7 +209,7 @@ def write_sweep_csv(rows, cfg: ExperimentConfig, stream) -> None:
     stream.write(f"# wushkit sweep v{__version__}\n")
     for line in cfg.echo_lines():
         stream.write(f"# {line}\n")
-    stream.write("layer,transform,format,seed,block,loss,layer_loss,elapsed_ms\n")
+    stream.write(",".join(SweepRow._fields) + "\n")
     for r in rows:
         elapsed = "" if r.elapsed_ms is None else format(r.elapsed_ms, ".3f")
         stream.write(

@@ -54,7 +54,9 @@ _TILE = 256
 
 
 def _eta_into(model: NoiseModel, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous 2-D ``out`` with ``model``'s eta draws, in place.
+    """Fill the C-contiguous 2-D ``out`` with ``model``'s eta draws, in place:
+    the package's one eta draw, into the ``(chunk, d)`` buffer of
+    :func:`one_sided_loss_mc`.
 
     ``FpRelative`` draws its element uniforms ``xi`` into ``out``, then its
     scale uniforms ``xi_t`` ``_TILE`` rows at a time into one tile, both in
@@ -81,12 +83,6 @@ def _eta_into(model: NoiseModel, rng: np.random.Generator, out: np.ndarray) -> n
     return out
 
 
-def _sample_eta(model: NoiseModel, rng: np.random.Generator, shape) -> np.ndarray:
-    out = np.empty(shape)
-    _eta_into(model, rng, out.reshape(1, -1))
-    return out
-
-
 @dataclass(frozen=True)
 class FpRelative:
     """Relative-noise model of a shared-scale float format (SEaMb-style)."""
@@ -105,8 +101,6 @@ class FpRelative:
         v2 = _LN2 ** 2 * 4.0 ** -self.scale_mant_bits / 12.0
         return u2 + v2 + u2 * v2
 
-    sample_eta = _sample_eta
-
 
 @dataclass(frozen=True)
 class IntAbsmax:
@@ -121,8 +115,6 @@ class IntAbsmax:
 
     def eta_second_moment(self) -> float:
         return 4.0 ** (1 - self.bits) / 12.0
-
-    sample_eta = _sample_eta
 
 
 NoiseModel = Union[FpRelative, IntAbsmax]

@@ -53,8 +53,10 @@ makes the one result array, and rounding, clamping and scaling run in place
 on it.  The absmax is ``max(x.max, -x.min)`` per group; max and min carry
 NaN and +-inf, so non-finite input is refused from it before any uniform is
 drawn, with no separate pass.  The FP kernels add one step array, stochastic
-rounding its uniforms and the floor.  ``rtn_value``, ``_rtn_even`` and
-``_stoch`` round a copy of their argument.
+rounding its uniforms and the floor.  The rounding kernels have one
+entry each, which works in place on an array its caller owns:
+``rtn_value`` rounds a copy of its argument, and ``_represent_scales`` the
+raw scales that ``_quantize_blocks`` makes fresh for it.
 """
 
 from __future__ import annotations
@@ -250,16 +252,6 @@ def _stoch_inplace(x: np.ndarray, fmt: FpFormat, u) -> np.ndarray:
     return n
 
 
-def _rtn_even(x, fmt: FpFormat) -> np.ndarray:
-    """:func:`_rtn_even_inplace` on a float64 copy of ``x``."""
-    return _rtn_even_inplace(np.array(x, dtype=np.float64), fmt)
-
-
-def _stoch(x, fmt: FpFormat, u) -> np.ndarray:
-    """:func:`_stoch_inplace` on a float64 copy of ``x``."""
-    return _stoch_inplace(np.array(x, dtype=np.float64), fmt, u)
-
-
 def rtn_value(x, fmt: FpFormat):
     """Round to the nearest representable value, ties to even mantissa code.
 
@@ -270,7 +262,7 @@ def rtn_value(x, fmt: FpFormat):
     arr = _as_float64(x, "rtn_value input")
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
-    out = _rtn_even(arr, fmt)
+    out = _rtn_even_inplace(np.array(arr), fmt)  # arr may be the caller's own array
     return float(out) if arr.ndim == 0 else out
 
 
@@ -369,7 +361,9 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
 
     Zero or underflowed scales are replaced with the smallest positive
     representable scale so division stays finite (the matching codes are
-    zero anyway for all-zero groups).
+    zero anyway for all-zero groups).  ``raw`` must be an array the caller
+    owns and does not read again: a format with mantissa bits rounds it in
+    place (``_quantize_blocks`` makes it fresh in every call).
     """
     sf = scheme.scale_format
     if sf.mant_bits == 0:
@@ -381,7 +375,7 @@ def _represent_scales(raw: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         e = (bits >> 52) + ((bits & ((1 << 52) - 1)) != 0)
         return (np.clip(e, *_pow2_exponent_range(sf)) << 52).view(np.float64)
     # Past the grid's max the scale clamps there, so the codes saturate.
-    s = _rtn_even(raw, sf)
+    s = _rtn_even_inplace(raw, sf)
     return np.maximum(s, _ends(sf)[1], out=s)
 
 

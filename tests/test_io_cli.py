@@ -490,7 +490,10 @@ def test_cli_loss_reports_cell(tmp_path, capsys):
     fields = dict(
         line.split(":", 1) for line in out.splitlines() if ":" in line
     )
-    assert fields["transform"].strip() == "wush"
+    assert [(k, v.strip()) for k, v in list(fields.items())[:6]] == [
+        ("kind", "wush"), ("scheme", "int4"), ("group_size", "32"),
+        ("rounding", "nearest"), ("damp", "0.01"), ("seed", "0"),
+    ]
     assert float(fields["layer_loss"].strip()) > 0.0
     assert "block[1]" in fields  # 64 / 32 = 2 blocks
 
@@ -531,14 +534,15 @@ def test_cli_writes_every_spec_field(tmp_path, capsys):
             "--damp", "0.3", "--seed", "5", "--group-size", "16", "--rounding", "stochastic"]
     assert cli.main(["loss", *cell]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:5] == [
-        "transform:      wus",
+    assert lines[:6] == [
+        "kind:           wus",
         "scheme:         int4",
         "group_size:     16",
-        "seed:           5",
+        "rounding:       stochastic",
         "damp:           0.29999999999999999",
+        "seed:           5",
     ]
-    assert [line.split(":")[0] for line in lines[5:]] == [
+    assert [line.split(":")[0] for line in lines[6:]] == [
         "layer_loss", "layer_loss_raw", "additivity_gap", *(f"block[{i}]" for i in range(4))
     ]
     assert cli.main(["plan", *cell, "--out-dir", str(tmp_path / "plan")]) == 0

@@ -224,6 +224,8 @@ def test_invert_rejects_singular_and_illconditioned():
         invert(np.array([[1.0, 2.0], [2.0, 4.0]]))
     with pytest.raises(Singular):
         invert(np.diag([1.0, 1e-15]))
+    with pytest.raises(Singular, match="inverse overflowed"):
+        invert(np.diag([1e-310, 1.0]))
 
 
 def test_invert_stack_checks_each_matrix():

@@ -50,7 +50,7 @@ def test_model_validation():
 )
 def test_sampled_eta_matches_moments(model):
     rng = np.random.default_rng(5)
-    eta = model.sample_eta(rng, 400_000)
+    eta = noise._eta_into(model, rng, np.empty((1, 400_000)))
     # eta is mean zero by construction; its second moment has a closed form
     assert abs(eta.mean()) <= 4.0 * eta.std() / math.sqrt(eta.size)
     m2 = float((eta * eta).mean())
@@ -58,12 +58,16 @@ def test_sampled_eta_matches_moments(model):
     assert abs(m2 - model.eta_second_moment()) <= 4.0 * se
 
 
-@pytest.mark.parametrize("shape", [400_000, (3, 5), (), (0,), (2, 0, 3)], ids=str)
+# one row, a few rows, empty rows or columns, and a full _TILE plus a partial one
+@pytest.mark.parametrize(
+    "shape", [(1, 400_000), (3, 5), (0, 3), (2, 0), (noise._TILE + 44, 3)], ids=str
+)
 @pytest.mark.parametrize("model", [noise.FpRelative(2, 4), noise.IntAbsmax(3)], ids=str)
 def test_sample_eta_is_the_whole_array_formula(model, shape):
     want = sample_eta_alloc(model, np.random.default_rng(7), shape)
-    got = model.sample_eta(np.random.default_rng(7), shape)
-    assert got.shape == np.shape(want) and np.array_equal(got, want)
+    out = np.empty(shape)
+    assert noise._eta_into(model, np.random.default_rng(7), out) is out
+    assert np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------
