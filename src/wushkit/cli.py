@@ -262,13 +262,13 @@ def _cmd_bounds(args) -> int:
             f"--max-log2-d {args.max_log2_d}: dimension 2**{args.max_log2_d} exceeds "
             f"2**{top}, past exact float64 integers"
         )
-    print("family,d,correlated,empirical,se,bound,holds")
     dims = [1 << k for k in range(args.max_log2_d + 1)]
     table = {
         (family, cov): mc_max_sq_dims(family, dims, cov, args.samples, args.seed)
         for family in FAMILIES
         for cov in COV_STRUCTURES
     }
+    print("family,d,correlated,empirical,se,bound,holds")  # after the argument checks
     worst = 0
     for family in FAMILIES:
         for k in range(len(dims)):

@@ -21,11 +21,12 @@ where ``(U, S**2)`` eigendecomposes the input's second moment and
 with ``M_W = I``, which ``wushkit validate`` feeds to ``one_sided_loss_mc``,
 the straight Monte Carlo estimate of either loss.
 
-Memory: ``one_sided_loss_mc`` draws ``_CHUNK`` samples at a time into two
-preallocated ``(chunk, d)`` float64 buffers and does the noise algebra in
-place, with one ``_TILE``-row tile for the FP model's second uniform draw;
-beyond those it holds ``O(chunk)`` per-sample vectors and ``d x d``
-matrices.  ``_CHUNK`` is part of every estimate; ``_TILE`` is not.
+Memory: ``one_sided_loss_mc`` draws ``rows = max(1, _CHUNK_SCALARS // d)``
+samples at a time into two preallocated ``(rows, d)`` float64 buffers (512
+KiB each, L2-sized) and does the noise algebra in place, with one
+``_TILE``-row tile for the FP model's second uniform draw; beyond those it
+holds two ``O(rows)`` vectors and ``d x d`` matrices, at any ``n_samples``.
+The rows per chunk are part of every estimate; ``_TILE`` is not.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from .linalg import (
 
 _LN2 = math.log(2.0)
 
-#: Samples per Monte Carlo chunk in ``one_sided_loss_mc``.  The draws are
-#: made chunk by chunk, so this value is part of every estimate.
-_CHUNK = 65536
+#: Float64 values per Monte Carlo chunk buffer in ``one_sided_loss_mc``,
+#: which draws ``max(1, _CHUNK_SCALARS // d)`` samples per chunk.  The draws
+#: are made chunk by chunk, so those rows are part of every estimate.
+_CHUNK_SCALARS = 1 << 16
 
 #: Rows per tile of the FP model's second uniform draw in ``_eta_into``.  A
 #: split draw continues the same stream, so no estimate depends on it.
@@ -55,7 +57,7 @@ _TILE = 256
 
 def _eta_into(model: NoiseModel, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous 2-D ``out`` with ``model``'s eta draws, in place:
-    the package's one eta draw, into the ``(chunk, d)`` buffer of
+    the package's one eta draw, into the ``(rows, d)`` chunk buffer of
     :func:`one_sided_loss_mc`.
 
     ``FpRelative`` draws its element uniforms ``xi`` into ``out``, then its
@@ -198,10 +200,11 @@ def one_sided_loss_mc(
     the sample mean and its standard error.  Singular transforms and
     non-positive-definite moments raise through :func:`~wushkit.linalg`.
 
-    Samples are drawn ``_CHUNK`` at a time (part of the estimate) into two
-    ``(chunk, d)`` buffers, reused for every chunk, plus one ``_TILE``-row
-    tile for the FP scale draw (not part of the estimate); the per-sample
-    losses and the INT absmax are ``O(chunk)`` vectors.
+    Samples are drawn ``rows = max(1, _CHUNK_SCALARS // d)`` at a time
+    (part of the estimate) into two ``(rows, d)`` buffers reused for every
+    chunk, plus one ``_TILE``-row tile for the FP scale draw (not part of
+    the estimate); the per-sample losses, their squares and the INT absmax
+    reuse two ``O(rows)`` vectors.
     """
     if not isinstance(model, (FpRelative, IntAbsmax)):
         raise ValidationError(f"model: expected FpRelative or IntAbsmax, got {_show(model)}")
@@ -214,25 +217,27 @@ def one_sided_loss_mc(
         raise ShapeMismatch(f"moment {chol.shape} does not match transform {t_arr.shape}")
     t_inv = invert(t_arr)
     rng = np.random.default_rng(seed)
-    buf_a, buf_b = (np.empty((min(_CHUNK, n_samples), d)) for _ in range(2))
+    rows = min(max(1, _CHUNK_SCALARS // d), n_samples)
+    buf_a, buf_b = (np.empty((rows, d)) for _ in range(2))
+    vec, vec_sq = np.empty(rows), np.empty(rows)
     total = 0.0
     total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
-        m = min(_CHUNK, remaining)
-        a, b = buf_a[:m], buf_b[:m]
+        m = min(rows, remaining)
+        a, b, li, li_sq = buf_a[:m], buf_b[:m], vec[:m], vec_sq[:m]
         rng.standard_normal(out=a)
         np.matmul(a, chol.T, out=b)
         np.matmul(b, t_arr.T, out=a)  # a = T y
         _eta_into(model, rng, b)
         if isinstance(model, IntAbsmax):
-            b *= np.abs(a, out=a).max(axis=1)[:, None]  # |T y|_inf; a is rewritten next
+            b *= np.abs(a, out=a).max(axis=1, out=li)[:, None]  # |T y|_inf; a, li rewritten next
         else:
             b *= a
         np.matmul(b, t_inv.T, out=a)  # a = T^-1 eps
-        li = np.einsum("ij,ij->i", a, a)
+        np.einsum("ij,ij->i", a, a, out=li)
         total += float(li.sum())
-        total_sq += float((li * li).sum())
+        total_sq += float(np.multiply(li, li, out=li_sq).sum())
         remaining -= m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)

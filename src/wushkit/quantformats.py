@@ -55,14 +55,16 @@ NaN and +-inf, so non-finite input is refused from it before any uniform is
 drawn, with no separate pass.  The FP kernels add one step array, stochastic
 rounding its uniforms and the floor.  The rounding kernels have one
 entry each, which works in place on an array its caller owns:
-``rtn_value`` rounds a copy of its argument, and ``_represent_scales`` the
-raw scales that ``_quantize_blocks`` makes fresh for it.
+``rtn_value`` rounds one float64 copy of its argument (the conversion's, if
+it made one), and ``_represent_scales`` the raw scales that
+``_quantize_blocks`` makes fresh for it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -262,7 +264,10 @@ def rtn_value(x, fmt: FpFormat):
     arr = _as_float64(x, "rtn_value input")
     if np.isnan(arr).any():
         raise NaNInput("rtn_value got NaN")
-    out = _rtn_even_inplace(np.array(arr), fmt)  # arr may be the caller's own array
+    # a number, a list or a converted array is fresh here: copy only the caller's memory
+    if not isinstance(x, (numbers.Number, list, tuple)) and np.may_share_memory(arr, x):
+        arr = arr.copy()
+    out = _rtn_even_inplace(arr, fmt)
     return float(out) if arr.ndim == 0 else out
 
 

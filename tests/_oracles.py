@@ -87,16 +87,18 @@ def sample_eta_alloc(model, rng, shape):
 
 def one_sided_loss_mc_alloc(t, moment, model, n_samples, seed):
     """``noise.one_sided_loss_mc`` as a chunk loop that allocates every
-    intermediate, ``noise._CHUNK`` samples per chunk; no argument checks."""
+    intermediate, ``max(1, noise._CHUNK_SCALARS // d)`` samples per chunk;
+    no argument checks."""
     t = np.asarray(t, dtype=np.float64)
     d = t.shape[0]
     chol = cholesky(moment)
     t_inv = invert(t)
     rng = np.random.default_rng(seed)
+    rows = max(1, noise._CHUNK_SCALARS // d)
     total = total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
-        m = min(noise._CHUNK, remaining)
+        m = min(rows, remaining)
         z = rng.standard_normal((m, d))
         ty = (z @ chol.T) @ t.T
         eta = sample_eta_alloc(model, rng, (m, d))

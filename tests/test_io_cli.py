@@ -672,6 +672,13 @@ def test_cli_bounds_table(capsys):
     assert all(line.endswith(",yes") for line in lines[1:])
 
 
+def test_cli_bounds_refuses_samples_before_the_header(capsys):
+    assert cli.main(["bounds", "--samples", "1", "--max-log2-d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples: expected an integer >= 2, got 1" in captured.err
+
+
 def test_cli_bounds_refuses_dimensions_past_2_53_before_drawing(capsys):
     # 2**53 is the last dimension float64 holds exactly; a larger range is
     # refused before the header, any draw or any 2**k is made

@@ -245,8 +245,16 @@ def _mc_problem(d):
     return random_rotation(d, d + 1) * scale, moment
 
 
-@pytest.mark.parametrize("n_samples", [1000, noise._CHUNK, noise._CHUNK + 1, 140_000])
-@pytest.mark.parametrize("d", [1, 4, 32])
+def _chunk_rows(d):
+    """Samples per Monte Carlo chunk at dimension ``d``: the rows rule."""
+    return max(1, noise._CHUNK_SCALARS // d)
+
+
+# one partial chunk, exactly one chunk, one more sample, and several chunks
+@pytest.mark.parametrize(
+    "d, n_samples",
+    [(d, n) for d in (1, 4, 32) for n in (1000, _chunk_rows(d), _chunk_rows(d) + 1, 140_000)],
+)
 @pytest.mark.parametrize("model", MC_MODELS, ids=str)
 def test_mc_in_place_loop_is_the_allocating_loop(model, d, n_samples):
     t, moment = _mc_problem(d)
@@ -260,24 +268,26 @@ def test_mc_in_place_loop_is_the_allocating_loop(model, d, n_samples):
 def test_mc_estimate_does_not_depend_on_the_tile(model, d, tile, monkeypatch):
     # three chunks of 600 and one of 300, against tiles that split them
     # unevenly, into single rows, or not at all
-    monkeypatch.setattr(noise, "_CHUNK", 600)
+    monkeypatch.setattr(noise, "_CHUNK_SCALARS", 600 * d)
     t, moment = _mc_problem(d)
     want = one_sided_loss_mc_alloc(t, moment, model, 2100, seed=5)
     monkeypatch.setattr(noise, "_TILE", tile)
     assert noise.one_sided_loss_mc(t, moment, model, 2100, seed=5) == want
 
 
-@pytest.mark.parametrize("d, n_samples", [(32, 20_000), (8, 100_000)])
+@pytest.mark.parametrize(
+    "d, n_samples", [(32, 20_000), (8, 100_000), (128, 20_000), (1, 140_000)]
+)
 @pytest.mark.parametrize("model", MC_MODELS, ids=str)
 def test_mc_peak_memory_is_two_chunk_buffers_and_a_tile(model, d, n_samples):
+    # the bound depends on the scalar budget and d, not on n_samples
     t, moment = _mc_problem(d)
     noise.one_sided_loss_mc(t, moment, model, 10, seed=0)  # warm lazy imports
-    m = min(noise._CHUNK, n_samples)
-    buffers = 2 * m * d * 8  # the two (m, d) float64 chunk buffers
-    # live per-sample vectors: the INT absmax (one, |T y| taken in place),
-    # or the losses li and li * li
-    vectors = 4 * m * 8
-    tile = min(noise._TILE, m) * d * 8
+    rows = _chunk_rows(d)
+    buffers = 2 * noise._CHUNK_SCALARS * 8  # the two (rows, d) float64 chunk buffers
+    # the two reused per-sample vectors: li (also the INT absmax) and li * li
+    vectors = 2 * rows * 8
+    tile = min(noise._TILE, rows) * d * 8
     slack = 16 * d * d * 8 + (64 << 10)  # d x d factors, LAPACK work, scalars
     tracemalloc.start()
     try:

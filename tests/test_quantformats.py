@@ -466,6 +466,28 @@ def test_rounding_kernels_leave_their_arguments_unchanged(fmt):
     np.testing.assert_array_equal(_bits(b), _bits(b_before))
 
 
+@pytest.mark.parametrize("fmt", sorted(qf.FORMATS.values(), key=str), ids=str)
+def test_rtn_value_copies_its_input_once(fmt):
+    # float32 input is converted to a fresh float64 array, which rtn_value
+    # rounds in place; only memory the caller owns needs a copy, an ndarray's
+    # or a buffer's that numpy reads without copying
+    x64 = np.random.default_rng(32).standard_normal(1 << 20)
+    buf = x64[:64].copy()
+    qf.rtn_value(memoryview(buf), fmt)
+    np.testing.assert_array_equal(buf, x64[:64])
+    x32 = x64.astype(np.float32)
+    peaks = {}
+    for x in (x64, x32):
+        qf.rtn_value(x[:8], fmt)  # warm lazy allocations
+        tracemalloc.start()
+        try:
+            qf.rtn_value(x, fmt)
+            peaks[x.dtype] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[np.dtype(np.float32)] <= peaks[np.dtype(np.float64)]
+
+
 @pytest.mark.parametrize("rounding", qf.ROUNDINGS)
 @pytest.mark.parametrize("preset", qf.PRESET_NAMES)
 def test_non_finite_entries_refused_before_any_draw(preset, rounding):
